@@ -15,24 +15,23 @@
 // The sweep varies the migrant's WSS, scaling the absolute CPMD cost the
 // policy avoids (migration/cpmd.hpp's calibration curve).
 //
-// tools/perf_gate --cache-input consumes the --json output, checks the
-// strict cache < load warm-up reduction and gates migrations/charges
-// against the committed BENCH_cache.json. Grids:
+// tools/perf_gate gates the --json output (one case per WSS and policy,
+// "wss4096k/cache"): the strict cache < load warm-up reduction, and
+// migrations/charges against the committed BENCH_cache.json. Grids:
 //
 //   --quick    1 MiB and 4 MiB migrant WSS   (CI smoke)
 //   (default)  quick + 16 MiB
 //   --full     default + 64 MiB
 
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "balancer/cluster_sim.hpp"
 #include "balancer/load_balancer.hpp"
+#include "bench/common.hpp"
 #include "driver/scenario.hpp"
 #include "workload/synthetic.hpp"
 
@@ -121,91 +120,36 @@ CaseResult run_case(std::uint64_t wss_kib) {
   return result;
 }
 
-std::string fmt(double v) {
-  std::ostringstream out;
-  out.precision(6);
-  out << v;
-  return out.str();
-}
-
-std::string render_json(const std::vector<CaseResult>& results) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"cache_ablation\",\n  \"cases\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    out += "    \"wss" + std::to_string(r.wss_kib) + "k\": {";
-    out += "\"wss_kib\": " + std::to_string(r.wss_kib);
-    out += ", \"nodes\": " + std::to_string(r.nodes);
-    out += ", \"procs\": " + std::to_string(r.procs);
-    out += ", \"policies\": {";
-    for (std::size_t p = 0; p < r.policies.size(); ++p) {
-      const auto& [name, pr] = r.policies[p];
-      out += "\"" + name + "\": {";
-      out += "\"migrations\": " + std::to_string(pr.migrations);
-      out += ", \"warmup_charged_ms\": " + fmt(pr.warmup_charged_ms);
-      out += ", \"warmup_paid_ms\": " + fmt(pr.warmup_paid_ms);
-      out += ", \"makespan_sec\": " + fmt(pr.makespan_sec);
-      out += p + 1 < r.policies.size() ? "}, " : "}";
-    }
-    out += "}";
-    out += i + 1 < results.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool full = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--full") {
-      full = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0] << " [--quick|--full] [--json=FILE]\n";
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return 2;
-    }
-  }
-
+  const bench::GridOptions opts = bench::parse_grid_options(argc, argv);
   std::vector<std::uint64_t> grid = {1024, 4096};
-  if (!quick) {
+  if (!opts.quick) {
     grid.push_back(16384);
   }
-  if (full) {
+  if (opts.full) {
     grid.push_back(65536);
   }
 
-  std::vector<CaseResult> results;
+  bench::ResultDoc doc{"cache_ablation"};
   for (const std::uint64_t wss_kib : grid) {
     const CaseResult r = run_case(wss_kib);
-    std::cout << "wss" << r.wss_kib << "k:";
-    for (const auto& [name, pr] : r.policies) {
-      std::cout << "  " << name << " charged " << fmt(pr.warmup_charged_ms) << " ms ("
+    const std::string name = "wss" + std::to_string(r.wss_kib) + "k";
+    std::cout << name << ":";
+    for (const auto& [policy, pr] : r.policies) {
+      std::cout << "  " << policy << " charged " << pr.warmup_charged_ms << " ms ("
                 << pr.migrations << " moves)";
+      doc.add(name + "/" + policy,
+              {{"wss_kib", static_cast<double>(r.wss_kib)},
+               {"nodes", r.nodes},
+               {"procs", static_cast<double>(r.procs)},
+               {"migrations", static_cast<double>(pr.migrations)},
+               {"warmup_charged_ms", pr.warmup_charged_ms},
+               {"warmup_paid_ms", pr.warmup_paid_ms},
+               {"makespan_sec", pr.makespan_sec}});
     }
     std::cout << "\n";
-    results.push_back(r);
   }
-
-  const std::string json = render_json(results);
-  if (!json_path.empty()) {
-    std::ofstream out{json_path, std::ios::binary};
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << json;
-  } else {
-    std::cout << json;
-  }
-  return 0;
+  return doc.write(opts.json_path);
 }

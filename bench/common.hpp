@@ -30,6 +30,7 @@
 //                 [mib](std::span<const driver::RunMetrics> m) { ...row... });
 //   runner.run(spec);
 
+#include <charconv>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -37,6 +38,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -280,5 +282,94 @@ inline SweepSpec::ScenarioFn cell(workload::HpccKernel kernel, std::uint64_t mem
                                   driver::Scheme scheme) {
   return [kernel, memory_mib, scheme] { return make_scenario(kernel, memory_mib, scheme); };
 }
+
+// --- Committed results: the schema-2 document tools/perf_gate gates --------
+//
+// The sweeps behind a committed BENCH_*.json (scale_sweep, parallel_sweep,
+// cache_ablation) share one CLI — --quick | (default) | --full grids and
+// --json=FILE — and one writer for
+//   {"schema":2,"tool":T,"host_cpus":N,"cases":{"<case>":{"<metric>":number,...}}}
+// where a case name has at most one grouping level ("n2000/w4").
+
+struct GridOptions {
+  bool quick{false};
+  bool full{false};
+  std::string json_path;  // empty: print the document to stdout
+};
+
+inline GridOptions parse_grid_options(int argc, char** argv) {
+  GridOptions opts;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      opts.quick = true;
+    } else if (arg == "--full") {
+      opts.full = true;
+    } else if (arg.rfind("--json=", 0) == 0) {
+      opts.json_path = arg.substr(7);
+    } else if (arg == "--help" || arg == "-h") {
+      std::cout << "usage: " << argv[0] << " [--quick|--full] [--json=FILE]\n";
+      std::exit(0);
+    } else {
+      std::cerr << "unknown option: " << arg << "\n";
+      std::exit(2);
+    }
+  }
+  return opts;
+}
+
+class ResultDoc {
+ public:
+  using Metrics = std::vector<std::pair<std::string, double>>;
+
+  explicit ResultDoc(std::string tool) : tool_{std::move(tool)} {}
+
+  void add(std::string name, Metrics metrics) {
+    cases_.emplace_back(std::move(name), std::move(metrics));
+  }
+
+  // Numbers print in the shortest form that parses back to the same
+  // double, so deterministic values (event counts, simulated seconds)
+  // survive the file exactly.
+  [[nodiscard]] std::string render() const {
+    const auto number = [](double v) {
+      char buf[32];
+      return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    };
+    std::string out = "{\n  \"schema\": 2,\n  \"tool\": \"" + tool_ + "\",\n";
+    out += "  \"host_cpus\": " + std::to_string(std::thread::hardware_concurrency()) +
+           ",\n  \"cases\": {\n";
+    for (std::size_t i = 0; i < cases_.size(); ++i) {
+      out += "    \"" + cases_[i].first + "\": {";
+      const Metrics& metrics = cases_[i].second;
+      for (std::size_t m = 0; m < metrics.size(); ++m) {
+        out += "\"" + metrics[m].first + "\": " + number(metrics[m].second);
+        out += m + 1 < metrics.size() ? ", " : "";
+      }
+      out += i + 1 < cases_.size() ? "},\n" : "}\n";
+    }
+    out += "  }\n}\n";
+    return out;
+  }
+
+  // Writes to `path` (stdout when empty); returns the exit code: 0, or 2
+  // when the file cannot be written.
+  [[nodiscard]] int write(const std::string& path) const {
+    if (path.empty()) {
+      std::cout << render();
+      return 0;
+    }
+    std::ofstream out{path, std::ios::binary};
+    if (!(out << render())) {
+      std::cerr << "cannot write " << path << "\n";
+      return 2;
+    }
+    return 0;
+  }
+
+ private:
+  std::string tool_;
+  std::vector<std::pair<std::string, Metrics>> cases_;
+};
 
 }  // namespace ampom::bench

@@ -13,8 +13,8 @@
 //                         floor where the hardware can deliver one (a
 //                         1-CPU CI container cannot)
 //
-// tools/perf_gate --parallel-input consumes the --json output and gates it
-// against the committed BENCH_parallel.json. Grids:
+// tools/perf_gate gates the --json output (one case per size and worker
+// count, "n2000/w4") against the committed BENCH_parallel.json. Grids:
 //
 //   --quick    256 nodes (16x16), workers 1/2/4          (CI smoke)
 //   (default)  quick + 2000 nodes (20x100)               (the 2k claim)
@@ -22,16 +22,14 @@
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "balancer/cluster_sim.hpp"
 #include "balancer/load_balancer.hpp"
+#include "bench/common.hpp"
 #include "driver/builder.hpp"
 #include "workload/synthetic.hpp"
 
@@ -136,98 +134,40 @@ CaseResult run_case(const CaseSpec& spec) {
   return result;
 }
 
-std::string fmt(double v) {
-  std::ostringstream out;
-  out.precision(6);
-  out << v;
-  return out.str();
-}
-
-std::string render_json(const std::vector<CaseResult>& results, unsigned host_cpus) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"parallel_sweep\",\n";
-  out += "  \"host_cpus\": " + std::to_string(host_cpus) + ",\n  \"cases\": {\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    out += "    \"n" + std::to_string(r.nodes) + "\": {";
-    out += "\"nodes\": " + std::to_string(r.nodes);
-    out += ", \"zones\": " + std::to_string(r.zones);
-    out += ", \"procs\": " + std::to_string(r.procs);
-    out += ", \"runs\": {";
-    for (std::size_t w = 0; w < r.runs.size(); ++w) {
-      const WorkerResult& run = r.runs[w];
-      out += "\"w" + std::to_string(run.workers) + "\": {";
-      out += "\"workers\": " + std::to_string(run.workers);
-      out += ", \"events\": " + std::to_string(run.events);
-      out += ", \"sim_sec\": " + fmt(run.sim_sec);
-      out += ", \"wall_sec\": " + fmt(run.wall_sec);
-      out += ", \"events_per_sec\": " + fmt(run.events_per_sec);
-      out += w + 1 < r.runs.size() ? "}, " : "}";
-    }
-    out += "}";
-    out += i + 1 < results.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool full = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--full") {
-      full = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0] << " [--quick|--full] [--json=FILE]\n";
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      return 2;
-    }
-  }
-
+  const bench::GridOptions opts = bench::parse_grid_options(argc, argv);
   std::vector<CaseSpec> grid = {{16, 16, 10}};
-  if (!quick) {
+  if (!opts.quick) {
     grid.push_back({20, 100, 10});
   }
-  if (full) {
+  if (opts.full) {
     grid.push_back({100, 100, 10});
   }
 
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  std::vector<CaseResult> results;
+  bench::ResultDoc doc{"parallel_sweep"};
   for (const CaseSpec& spec : grid) {
     const CaseResult r = run_case(spec);
     std::cout << "n" << r.nodes << ": " << r.procs << " procs, " << r.runs.front().events
-              << " events, sim " << fmt(r.runs.front().sim_sec) << " s\n";
+              << " events, sim " << r.runs.front().sim_sec << " s\n";
     for (const WorkerResult& run : r.runs) {
       const double speedup = run.wall_sec > 0.0
                                  ? r.runs.front().wall_sec / run.wall_sec
                                  : 0.0;
-      std::cout << "  workers=" << run.workers << ": wall " << fmt(run.wall_sec)
-                << " s (" << fmt(run.events_per_sec / 1e6) << " Mev/s, "
-                << fmt(speedup) << "x vs workers=1)\n";
+      std::cout << "  workers=" << run.workers << ": wall " << run.wall_sec << " s ("
+                << run.events_per_sec / 1e6 << " Mev/s, " << speedup
+                << "x vs workers=1)\n";
+      doc.add("n" + std::to_string(r.nodes) + "/w" + std::to_string(run.workers),
+              {{"nodes", r.nodes},
+               {"zones", r.zones},
+               {"procs", static_cast<double>(r.procs)},
+               {"workers", static_cast<double>(run.workers)},
+               {"events", static_cast<double>(run.events)},
+               {"sim_sec", run.sim_sec},
+               {"wall_sec", run.wall_sec},
+               {"events_per_sec", run.events_per_sec}});
     }
-    results.push_back(r);
   }
-
-  const std::string json = render_json(results, host_cpus);
-  if (!json_path.empty()) {
-    std::ofstream out{json_path, std::ios::binary};
-    if (!out) {
-      std::cerr << "cannot write " << json_path << "\n";
-      return 2;
-    }
-    out << json;
-  } else {
-    std::cout << json;
-  }
-  return 0;
+  return doc.write(opts.json_path);
 }

@@ -1,12 +1,14 @@
-// Tests of the perf_gate comparator: JSON parsing, normalization of raw
-// google-benchmark output, the committed-schema round trip, and the gate
-// rules (SBO zero-alloc invariant, cancel-heavy speedup floor, baseline
-// trajectory tolerance).
+// Tests of the perf_gate comparator: JSON parsing, adaptation of raw
+// google-benchmark output, the schema-2 round trip (bench writer and gate
+// renderer alike), and every row of the rule table for the four tools.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <initializer_list>
 #include <string>
 
+#include "bench/common.hpp"
 #include "perf_gate/gate.hpp"
 
 namespace ampom::perfgate {
@@ -17,6 +19,37 @@ JsonValue parse_ok(const std::string& text) {
   auto doc = parse_json(text, &error);
   EXPECT_TRUE(doc.has_value()) << error;
   return doc ? *doc : JsonValue{};
+}
+
+Doc load_ok(const std::string& text) {
+  std::string error;
+  auto doc = load_doc(parse_ok(text), &error);
+  EXPECT_TRUE(doc.has_value()) << error;
+  return doc ? *doc : Doc{};
+}
+
+std::string load_error(const std::string& text) {
+  std::string error;
+  EXPECT_FALSE(load_doc(parse_ok(text), &error).has_value()) << text;
+  return error;
+}
+
+// True when some failure message contains every one of `parts`.
+bool has_failure(const GateResult& result, std::initializer_list<const char*> parts) {
+  for (const std::string& failure : result.failures) {
+    bool all = true;
+    for (const char* part : parts) {
+      all = all && failure.find(part) != std::string::npos;
+    }
+    if (all) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string first_failure(const GateResult& result) {
+  return result.failures.empty() ? "" : result.failures.front();
 }
 
 TEST(PerfGateJson, ParsesScalarsArraysAndNestedObjects) {
@@ -43,6 +76,38 @@ TEST(PerfGateJson, RejectsMalformedInput) {
   }
 }
 
+TEST(PerfGateJson, DeeplyNestedInputIsRejectedNotACrash) {
+  // Unbounded recursion would overflow the stack on two million '['.
+  std::string error;
+  EXPECT_FALSE(parse_json(std::string(2'000'000, '['), &error).has_value());
+  EXPECT_EQ(error, "nesting deeper than 4 at byte 4");
+  // The deepest real input (google-benchmark's context.caches[i]) fits.
+  EXPECT_TRUE(parse_json(R"({"a": [{"b": [1]}]})", &error).has_value()) << error;
+  EXPECT_FALSE(parse_json(R"({"a": [{"b": [[1]]}]})", &error).has_value());
+}
+
+TEST(PerfGateJson, RendersDeterministicValuesAtRoundTripPrecision) {
+  // A 9-digit event count and a simulated time that needs all 17
+  // significant digits: both writers must print them so they parse back
+  // bit-identical, or the exact w1 == wN checks cannot see small drift.
+  const double events = 155726513.0;
+  const double sim_sec = std::nextafter(10.0052, 11.0);
+  bench::ResultDoc written{"parallel_sweep"};
+  written.add("n10000/w1", {{"nodes", 10000},
+                            {"workers", 1},
+                            {"events", events},
+                            {"sim_sec", sim_sec},
+                            {"wall_sec", 1.0}});
+  const Doc from_bench = load_ok(written.render());
+  EXPECT_EQ(from_bench.cases.at("n10000/w1").at("events"), events);
+  EXPECT_EQ(from_bench.cases.at("n10000/w1").at("sim_sec"), sim_sec);
+  const Doc rerendered = load_ok(render_doc(from_bench));
+  EXPECT_EQ(rerendered.cases, from_bench.cases);
+  EXPECT_EQ(rerendered.host_cpus, from_bench.host_cpus);
+}
+
+// --- micro_simcore ----------------------------------------------------------
+
 // A raw google-benchmark document with the six profile benches (extra
 // benches and fields present, as in real output).
 std::string raw_run(double indexed_cancel_rate, double indexed_cancel_allocs) {
@@ -52,7 +117,7 @@ std::string raw_run(double indexed_cancel_rate, double indexed_cancel_allocs) {
            R"(, "allocs_per_op": )" + std::to_string(allocs) +
            R"(, "peak_queued": )" + std::to_string(peak) + "}";
   };
-  return R"({"context": {"num_cpus": 8}, "benchmarks": [)" +
+  return R"({"context": {"num_cpus": 8, "caches": [{"level": 1}]}, "benchmarks": [)" +
          bench("BM_ScheduleHeavy_Indexed", 11.0e6, 0.0, 65536) + "," +
          bench("BM_ScheduleHeavy_Lazy", 7.0e6, 1.0, 65536) + "," +
          bench("BM_CancelHeavy_Indexed", indexed_cancel_rate, indexed_cancel_allocs, 1) + "," +
@@ -62,16 +127,23 @@ std::string raw_run(double indexed_cancel_rate, double indexed_cancel_allocs) {
          bench("BM_ScheduleAndRun/1000", 1.0e6, 0.0, 0) + "]}";
 }
 
-TEST(PerfGateSummary, NormalizesRawBenchmarkOutput) {
+Doc engine_run(double cancel_rate, double cancel_allocs) {
   std::string error;
-  const auto summary = summarize_raw(parse_ok(raw_run(73.0e6, 0.0)), &error);
-  ASSERT_TRUE(summary.has_value()) << error;
-  ASSERT_EQ(summary->profiles.size(), 3u);
-  const EngineProfile& cancel = summary->profiles.at("cancel_heavy");
-  EXPECT_DOUBLE_EQ(cancel.indexed.events_per_sec, 73.0e6);
-  EXPECT_DOUBLE_EQ(cancel.lazy.peak_queued, 1000.0);
-  EXPECT_NEAR(cancel.speedup_vs_lazy, 73.0 / 15.0, 1e-9);
-  EXPECT_NEAR(summary->profiles.at("mixed").speedup_vs_lazy, 3.0, 1e-9);
+  const auto doc = summarize_raw(parse_ok(raw_run(cancel_rate, cancel_allocs)), &error);
+  EXPECT_TRUE(doc.has_value()) << error;
+  return doc ? *doc : Doc{};
+}
+
+TEST(PerfGateSummary, NormalizesRawBenchmarkOutput) {
+  const Doc doc = engine_run(73.0e6, 0.0);
+  EXPECT_EQ(doc.tool, "micro_simcore");
+  EXPECT_DOUBLE_EQ(doc.host_cpus, 8.0);
+  ASSERT_EQ(doc.cases.size(), 6u);
+  const Metrics& cancel = doc.cases.at("cancel_heavy/indexed");
+  EXPECT_DOUBLE_EQ(cancel.at("events_per_sec"), 73.0e6);
+  EXPECT_DOUBLE_EQ(doc.cases.at("cancel_heavy/lazy").at("peak_queued"), 1000.0);
+  EXPECT_NEAR(cancel.at("speedup_vs_lazy"), 73.0 / 15.0, 1e-9);
+  EXPECT_NEAR(doc.cases.at("mixed/indexed").at("speedup_vs_lazy"), 3.0, 1e-9);
 }
 
 TEST(PerfGateSummary, MissingBenchmarkOrCounterIsAnErrorNotAPass) {
@@ -89,429 +161,366 @@ TEST(PerfGateSummary, MissingBenchmarkOrCounterIsAnErrorNotAPass) {
 }
 
 TEST(PerfGateSummary, RenderedSummaryRoundTripsThroughLoad) {
-  std::string error;
-  const auto summary = summarize_raw(parse_ok(raw_run(73.0e6, 0.0)), &error);
-  ASSERT_TRUE(summary.has_value()) << error;
-  const std::string rendered = render_summary(*summary);
-  const auto reloaded = load_summary(parse_ok(rendered), &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  ASSERT_EQ(reloaded->profiles.size(), 3u);
-  EXPECT_NEAR(reloaded->profiles.at("cancel_heavy").speedup_vs_lazy, 73.0 / 15.0, 1e-4);
-  EXPECT_DOUBLE_EQ(reloaded->profiles.at("mixed").indexed.allocs_per_op, 0.0);
-  // Rendering is deterministic: same summary, same bytes.
-  EXPECT_EQ(rendered, render_summary(*summary));
-}
-
-Summary summary_of(double cancel_rate, double cancel_allocs) {
-  std::string error;
-  const auto summary = summarize_raw(parse_ok(raw_run(cancel_rate, cancel_allocs)), &error);
-  EXPECT_TRUE(summary.has_value()) << error;
-  return summary ? *summary : Summary{};
+  const Doc doc = engine_run(73.0e6, 0.0);
+  const std::string rendered = render_doc(doc);
+  const Doc reloaded = load_ok(rendered);
+  EXPECT_EQ(reloaded.tool, doc.tool);
+  EXPECT_EQ(reloaded.cases, doc.cases);  // exact, not approximate
+  // Rendering is deterministic: same document, same bytes.
+  EXPECT_EQ(rendered, render_doc(reloaded));
 }
 
 TEST(PerfGateGate, PassesAHealthyRunWithoutABaseline) {
-  const Summary current = summary_of(73.0e6, 0.0);
-  const GateResult result = gate(current, nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures.front());
+  const GateResult result = gate(engine_run(73.0e6, 0.0), nullptr, GateOptions{});
+  EXPECT_TRUE(result.pass) << first_failure(result);
   EXPECT_TRUE(result.failures.empty());
-  EXPECT_EQ(result.notes.size(), 3u);  // one throughput line per profile
+  EXPECT_EQ(result.notes.size(), 6u);  // one throughput line per case
 }
 
 TEST(PerfGateGate, AnySingleIndexedAllocationFailsTheSboInvariant) {
-  const Summary current = summary_of(73.0e6, 1e-6);  // one alloc per million ops
+  const Doc current = engine_run(73.0e6, 1e-6);  // one alloc per million ops
   const GateResult result = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_NE(result.failures[0].find("allocs_per_op"), std::string::npos);
+  EXPECT_TRUE(has_failure(result, {"cancel_heavy/indexed", "allocs_per_op"}));
 }
 
 TEST(PerfGateGate, CancelHeavySpeedupBelowTheFloorFails) {
-  const Summary current = summary_of(20.0e6, 0.0);  // 1.33x < the 1.5x floor
+  const Doc current = engine_run(20.0e6, 0.0);  // 1.33x < the 1.5x floor
   const GateResult result = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_NE(result.failures[0].find("1.5x floor"), std::string::npos);
+  EXPECT_TRUE(has_failure(result, {"speedup_vs_lazy", "below the floor 1.5"}));
 }
 
 TEST(PerfGateGate, BaselineTrajectoryIsEnforcedWithTolerance) {
-  const Summary baseline = summary_of(73.0e6, 0.0);  // speedup 4.87x
-  // 30% tolerance: floor is 3.41x. A run at 3.5x passes, a run at 3.0x fails.
-  EXPECT_TRUE(gate(summary_of(3.5 * 15.0e6, 0.0), &baseline, GateOptions{}).pass);
-  const GateResult slow = gate(summary_of(3.0 * 15.0e6, 0.0), &baseline, GateOptions{});
+  const Doc baseline = engine_run(73.0e6, 0.0);  // speedup 4.867x
+  // The 30% band puts the floor at 3.407x: 3.41x passes, 3.40x fails.
+  EXPECT_TRUE(gate(engine_run(3.41 * 15.0e6, 0.0), &baseline, GateOptions{}).pass);
+  const GateResult slow = gate(engine_run(3.40 * 15.0e6, 0.0), &baseline, GateOptions{});
   EXPECT_FALSE(slow.pass);
   ASSERT_EQ(slow.failures.size(), 1u);
-  EXPECT_NE(slow.failures[0].find("regressed"), std::string::npos);
-  // A tighter tolerance flips the 3.5x run to a failure too.
-  EXPECT_FALSE(gate(summary_of(3.5 * 15.0e6, 0.0), &baseline,
-                    GateOptions{.tolerance = 0.05, .min_speedup = 1.5})
-                   .pass);
+  EXPECT_TRUE(has_failure(slow, {"cancel_heavy/indexed", "speedup regressed"}));
 }
 
 TEST(PerfGateGate, PeakQueuedGrowthPastBaselineFails) {
-  const Summary baseline = summary_of(73.0e6, 0.0);
-  Summary current = summary_of(73.0e6, 0.0);
+  const Doc baseline = engine_run(73.0e6, 0.0);
+  Doc current = engine_run(73.0e6, 0.0);
   // A leak-shaped regression: cancelled entries pile up again.
-  current.profiles.at("cancel_heavy").indexed.peak_queued = 500.0;
+  current.cases.at("cancel_heavy/indexed").at("peak_queued") = 500.0;
   const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
   ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_NE(result.failures[0].find("peak_queued"), std::string::npos);
+  EXPECT_TRUE(has_failure(result, {"peak_queued"}));
 }
 
 TEST(PerfGateGate, ProfileMissingFromCurrentRunFails) {
-  const Summary baseline = summary_of(73.0e6, 0.0);
-  Summary current = summary_of(73.0e6, 0.0);
-  current.profiles.erase("mixed");
-  const GateResult result = gate(current, &baseline, GateOptions{});
+  const Doc baseline = engine_run(73.0e6, 0.0);
+  Doc current = engine_run(73.0e6, 0.0);
+  current.cases.erase("mixed/indexed");
+  current.cases.erase("mixed/lazy");
+  GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
-  ASSERT_EQ(result.failures.size(), 1u);
-  EXPECT_NE(result.failures[0].find("missing from this run"), std::string::npos);
+  EXPECT_TRUE(has_failure(result, {"mixed/indexed", "was not run"}));
+  // cancel_heavy carries the floor, so it must be present even without a
+  // baseline.
+  current = engine_run(73.0e6, 0.0);
+  current.cases.erase("cancel_heavy/indexed");
+  result = gate(current, nullptr, GateOptions{});
+  EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(has_failure(result, {"cancel_heavy/indexed", "missing from this run"}));
 }
 
 TEST(PerfGateLoad, RejectsDocumentsWithoutSchemaOrProfiles) {
-  std::string error;
-  EXPECT_FALSE(load_summary(parse_ok(R"({"profiles": {}})"), &error).has_value());
-  EXPECT_NE(error.find("schema"), std::string::npos);
-  EXPECT_FALSE(load_summary(parse_ok(R"({"schema": 1})"), &error).has_value());
-  EXPECT_NE(error.find("profiles"), std::string::npos);
+  EXPECT_NE(load_error(R"({"tool": "scale_sweep", "cases": {}})").find("schema"),
+            std::string::npos);
+  // A schema-1 document is not silently accepted.
+  EXPECT_NE(load_error(R"({"schema": 1, "tool": "perf_gate", "profiles": {}})").find("schema"),
+            std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "micro_simcore", "host_cpus": 1})")
+                .find("cases"),
+            std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "nobody", "host_cpus": 1, "cases": {}})")
+                .find("no rules for tool 'nobody'"),
+            std::string::npos);
 }
 
-// --- scale-sweep mode -------------------------------------------------------
+// --- scale_sweep ------------------------------------------------------------
 
-ScaleCase scale_case(double nodes, double msgs, double events, double wall) {
-  ScaleCase c;
-  c.nodes = nodes;
-  c.zones = nodes / 8.0;
-  c.fan_out = 3.0;
-  c.procs = nodes * 10.0;
-  c.events = events;
-  c.sim_sec = 10.0;
-  c.msgs_per_node_period = msgs;
-  c.wall_sec = wall;
-  c.events_per_sec = wall > 0.0 ? events / wall : 0.0;
-  return c;
+Metrics scale_case(double nodes, double msgs, double events, double wall) {
+  return {{"nodes", nodes},       {"zones", nodes / 8.0},
+          {"fan_out", 3.0},       {"procs", nodes * 10.0},
+          {"events", events},     {"sim_sec", 10.0},
+          {"msgs_per_node_period", msgs}, {"wall_sec", wall},
+          {"events_per_sec", wall > 0.0 ? events / wall : 0.0}};
 }
 
-ScaleSummary healthy_scale() {
-  ScaleSummary s;
-  s.cases.emplace("n64", scale_case(64, 5.97, 1.0e6, 0.5));
-  s.cases.emplace("n256", scale_case(256, 5.91, 4.0e6, 3.6));
-  s.cases.emplace("n1024", scale_case(1024, 6.00, 16.0e6, 19.0));
-  return s;
+Doc healthy_scale() {
+  Doc doc;
+  doc.tool = "scale_sweep";
+  doc.cases.emplace("n64", scale_case(64, 5.97, 1.0e6, 0.5));
+  doc.cases.emplace("n256", scale_case(256, 5.91, 4.0e6, 3.6));
+  doc.cases.emplace("n1024", scale_case(1024, 6.00, 16.0e6, 19.0));
+  return doc;
 }
 
 TEST(PerfGateScale, RoundTripsAndPassesWithoutBaseline) {
-  const ScaleSummary summary = healthy_scale();
-  std::string error;
-  const auto reloaded = load_scale_summary(parse_ok(render_scale_summary(summary)), &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  EXPECT_EQ(reloaded->cases.size(), 3u);
-  EXPECT_DOUBLE_EQ(reloaded->cases.at("n1024").msgs_per_node_period, 6.00);
-
-  const GateResult result = gate_scale(*reloaded, nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Doc reloaded = load_ok(render_doc(healthy_scale()));
+  EXPECT_EQ(reloaded.cases.size(), 3u);
+  EXPECT_EQ(reloaded.cases.at("n1024").at("msgs_per_node_period"), 6.00);
+  const GateResult result = gate(reloaded, nullptr, GateOptions{});
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateScale, PerNodeTrafficAboveFanOutCeilingFails) {
-  ScaleSummary current = healthy_scale();
+  Doc current = healthy_scale();
   // An all-pairs regression: traffic scales with cluster size again.
-  current.cases.at("n1024").msgs_per_node_period = 2.0 * 1023.0;
-  const GateResult result = gate_scale(current, nullptr, GateOptions{});
+  current.cases.at("n1024").at("msgs_per_node_period") = 2.0 * 1023.0;
+  const GateResult result = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("O(fan_out) ceiling") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"n1024", "O(fan_out) ceiling"}));
 }
 
 TEST(PerfGateScale, TrafficTrendingWithClusterSizeFails) {
-  ScaleSummary current = healthy_scale();
+  Doc current = healthy_scale();
   // Below the 3x-fan_out ceiling but clearly growing with n: the
   // size-independence spread check must object.
-  current.cases.at("n64").msgs_per_node_period = 4.0;
-  current.cases.at("n256").msgs_per_node_period = 6.0;
-  current.cases.at("n1024").msgs_per_node_period = 8.5;
-  const GateResult result = gate_scale(current, nullptr, GateOptions{});
+  current.cases.at("n64").at("msgs_per_node_period") = 4.0;
+  current.cases.at("n256").at("msgs_per_node_period") = 6.0;
+  current.cases.at("n1024").at("msgs_per_node_period") = 8.5;
+  const GateResult result = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("depends on cluster size") != std::string::npos;
+  EXPECT_TRUE(has_failure(result, {"depends on cluster size"}));
+}
+
+TEST(PerfGateScale, ZeroTrafficCaseFailsTheSpreadCheck) {
+  // Daemons that went silent in one case (0 msgs/node/period) are the
+  // widest spread there is, not a reason to skip the check.
+  Doc current = healthy_scale();
+  current.cases.at("n256").at("msgs_per_node_period") = 0.0;
+  const GateResult result = gate(current, nullptr, GateOptions{});
+  EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(has_failure(result, {"spreads from 0 to 6", "depends on cluster size"}));
+  // All-silent is uniform, not a spread (the baseline bands catch it).
+  for (auto& [name, metrics] : current.cases) {
+    metrics.at("msgs_per_node_period") = 0.0;
   }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(gate(current, nullptr, GateOptions{}).pass);
 }
 
 TEST(PerfGateScale, BaselineOnlyCaseFailsByDefaultNamingTheCase) {
   // A case silently dropped from the run must not gate green: nothing
   // compared it. The failure names the case so the fix is obvious.
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
+  const Doc baseline = healthy_scale();
+  Doc current = healthy_scale();
   current.cases.erase("n1024");
-  const GateResult result = gate_scale(current, &baseline, GateOptions{});
+  const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("n1024") != std::string::npos &&
-                      f.find("was not run") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"n1024", "was not run"}));
 }
 
 TEST(PerfGateScale, AllowCaseSubsetWaivesBaselineOnlyMisses) {
   // The committed baseline carries the --full grid; a CI --quick run with a
   // subset of cases gates cleanly only under the explicit waiver.
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
+  const Doc baseline = healthy_scale();
+  Doc current = healthy_scale();
   current.cases.erase("n1024");
-  GateOptions options;
-  options.allow_case_subset = true;
-  const GateResult result = gate_scale(current, &baseline, options);
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const GateResult result = gate(current, &baseline, GateOptions{.allow_case_subset = true});
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateScale, CurrentOnlyCaseFailsEvenWithTheSubsetWaiver) {
   // The inverse mismatch — a case the baseline has never seen — is never
   // waivable: until the baseline is refreshed, nothing gates that case.
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
-  ScaleCase extra = current.cases.at("n1024");
-  extra.nodes = 4096.0;
+  const Doc baseline = healthy_scale();
+  Doc current = healthy_scale();
+  Metrics extra = current.cases.at("n1024");
+  extra.at("nodes") = 4096.0;
   current.cases.emplace("n4096", extra);
-  GateOptions options;
-  options.allow_case_subset = true;
-  const GateResult result = gate_scale(current, &baseline, options);
+  const GateResult result = gate(current, &baseline, GateOptions{.allow_case_subset = true});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("n4096") != std::string::npos &&
-                      f.find("missing from the baseline") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"n4096", "missing from the baseline"}));
 }
 
 TEST(PerfGateScale, EventDriftPastToleranceFails) {
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
-  current.cases.at("n256").events = baseline.cases.at("n256").events * 1.5;
-  const GateResult result = gate_scale(current, &baseline, GateOptions{});
+  const Doc baseline = healthy_scale();
+  Doc current = healthy_scale();
+  current.cases.at("n256").at("events") *= 1.5;
+  const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("outside baseline") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"n256", "events", "outside the baseline band"}));
 }
 
 TEST(PerfGateScale, WallTimeTrajectoryRegressionFails) {
   // Same machine speed at the anchor, but the big case takes 3x the
   // baseline's relative wall time: the scaling shape regressed even though
   // every absolute number alone could be blamed on a slower machine.
-  const ScaleSummary baseline = healthy_scale();
-  ScaleSummary current = healthy_scale();
-  current.cases.at("n1024").wall_sec = baseline.cases.at("n1024").wall_sec * 3.0;
-  const GateResult result = gate_scale(current, &baseline, GateOptions{});
+  const Doc baseline = healthy_scale();
+  Doc current = healthy_scale();
+  current.cases.at("n1024").at("wall_sec") *= 3.0;
+  const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("scaling shape regressed") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"n1024", "relative to n64", "scaling shape regressed"}));
 }
 
 TEST(PerfGateScale, RejectsNonScaleDocuments) {
-  std::string error;
-  EXPECT_FALSE(load_scale_summary(parse_ok(R"({"schema": 1, "tool": "perf_gate"})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("scale_sweep"), std::string::npos);
-  EXPECT_FALSE(load_scale_summary(
-                   parse_ok(R"({"schema": 1, "tool": "scale_sweep", "cases": {}})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("cases"), std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "scale_sweep", "host_cpus": 1, "cases": {}})")
+                .find("cases"),
+            std::string::npos);
+  // A case without a metric a scale rule reads cannot be gated.
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "scale_sweep", "host_cpus": 1,
+                          "cases": {"n64": {"nodes": 64, "msgs_per_node_period": 6}}})")
+                .find("'fan_out'"),
+            std::string::npos);
+  // One grouping level at most.
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "scale_sweep", "host_cpus": 1,
+                          "cases": {"n64/a/b": {}}})")
+                .find("at most one grouping level"),
+            std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "scale_sweep", "host_cpus": 1,
+                          "cases": {"n64": {"nodes": "64"}}})")
+                .find("not a number"),
+            std::string::npos);
 }
 
-// --- parallel-sweep mode ----------------------------------------------------
+// --- parallel_sweep ---------------------------------------------------------
 
-ParallelCase parallel_case(double nodes, double events, double w1_wall,
-                           double w4_wall) {
-  ParallelCase c;
-  c.nodes = nodes;
-  c.zones = nodes / 100.0;
-  c.procs = nodes * 10.0;
-  const auto run = [&](double workers, double wall) {
-    ParallelRun r;
-    r.workers = workers;
-    r.events = events;
-    r.sim_sec = 10.0;
-    r.wall_sec = wall;
-    r.events_per_sec = wall > 0.0 ? events / wall : 0.0;
-    return r;
-  };
-  c.runs.emplace("w1", run(1, w1_wall));
-  c.runs.emplace("w4", run(4, w4_wall));
-  return c;
+Metrics parallel_run(double nodes, double workers, double events, double wall) {
+  return {{"nodes", nodes},   {"zones", nodes / 100.0},
+          {"procs", nodes * 10.0}, {"workers", workers},
+          {"events", events}, {"sim_sec", 10.0},
+          {"wall_sec", wall}, {"events_per_sec", wall > 0.0 ? events / wall : 0.0}};
 }
 
 // An 8-CPU recording: the big case clears the 2x floor, the small one is
 // exempt from it (< 2000 nodes) and establishes the trajectory anchor.
-ParallelSummary healthy_parallel() {
-  ParallelSummary s;
-  s.host_cpus = 8.0;
-  s.cases.emplace("n256", parallel_case(256, 4013613.0, 4.0, 2.2));
-  s.cases.emplace("n2000", parallel_case(2000, 3.1e7, 40.0, 15.0));
-  return s;
+Doc healthy_parallel() {
+  Doc doc;
+  doc.tool = "parallel_sweep";
+  doc.host_cpus = 8.0;
+  doc.cases.emplace("n256/w1", parallel_run(256, 1, 4013613.0, 4.0));
+  doc.cases.emplace("n256/w4", parallel_run(256, 4, 4013613.0, 2.2));
+  doc.cases.emplace("n2000/w1", parallel_run(2000, 1, 3.1e7, 40.0));
+  doc.cases.emplace("n2000/w4", parallel_run(2000, 4, 3.1e7, 15.0));
+  return doc;
 }
 
 TEST(PerfGateParallel, RoundTripsExactCountersAndPassesWithoutBaseline) {
-  const ParallelSummary summary = healthy_parallel();
-  std::string error;
-  const auto reloaded =
-      load_parallel_summary(parse_ok(render_parallel_summary(summary)), &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  EXPECT_DOUBLE_EQ(reloaded->host_cpus, 8.0);
-  // Exact, not approximate: a "%.6g" render would round the event counter
-  // and turn the next bit-identity check into noise.
-  EXPECT_EQ(reloaded->cases.at("n256").runs.at("w4").events, 4013613.0);
-
-  const GateResult result = gate_parallel(*reloaded, nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Doc reloaded = load_ok(render_doc(healthy_parallel()));
+  EXPECT_DOUBLE_EQ(reloaded.host_cpus, 8.0);
+  // Exact, not approximate: a rounded render would turn the next
+  // bit-identity check into noise.
+  EXPECT_EQ(reloaded.cases.at("n256/w4").at("events"), 4013613.0);
+  const GateResult result = gate(reloaded, nullptr, GateOptions{});
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateParallel, AnyScheduleDriftAcrossWorkerCountsFails) {
-  ParallelSummary current = healthy_parallel();
-  current.cases.at("n2000").runs.at("w4").events += 1.0;
-  GateResult result = gate_parallel(current, nullptr, GateOptions{});
+  Doc current = healthy_parallel();
+  current.cases.at("n2000/w4").at("events") += 1.0;
+  GateResult result = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(result.pass);
-  ASSERT_FALSE(result.failures.empty());
-  EXPECT_NE(result.failures[0].find("depends on the worker count"), std::string::npos);
+  EXPECT_TRUE(has_failure(result, {"n2000/w4", "depends on the worker count"}));
 
   current = healthy_parallel();
-  current.cases.at("n256").runs.at("w4").sim_sec += 1e-9;
-  result = gate_parallel(current, nullptr, GateOptions{});
+  current.cases.at("n256/w4").at("sim_sec") += 1e-9;
+  result = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(has_failure(result, {"n256/w4", "sim_sec"}));
 }
 
 TEST(PerfGateParallel, SpeedupFloorBindsOnlyWhenTheHostHasTheCpus) {
-  ParallelSummary current = healthy_parallel();
-  current.cases.at("n2000").runs.at("w4").wall_sec = 35.0;  // 1.14x, floor is 2x
-  const GateResult failed = gate_parallel(current, nullptr, GateOptions{});
+  Doc current = healthy_parallel();
+  current.cases.at("n2000/w4").at("wall_sec") = 35.0;  // 1.14x, floor is 2x
+  const GateResult failed = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(failed.pass);
-  bool found = false;
-  for (const std::string& f : failed.failures) {
-    found = found || f.find("below the") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(failed, {"n2000/w4", "speedup over n2000/w1", "below the floor 2"}));
 
   // The same numbers from a 1-CPU container: no parallelism was available,
   // so only bit-identity and trajectory gate.
   current.host_cpus = 1.0;
-  const GateResult skipped = gate_parallel(current, nullptr, GateOptions{});
-  EXPECT_TRUE(skipped.pass) << (skipped.failures.empty() ? "" : skipped.failures[0]);
+  const GateResult skipped = gate(current, nullptr, GateOptions{});
+  EXPECT_TRUE(skipped.pass) << first_failure(skipped);
 }
 
 TEST(PerfGateParallel, SmallCasesAreExemptFromTheSpeedupFloor) {
-  ParallelSummary current = healthy_parallel();
-  current.cases.at("n256").runs.at("w4").wall_sec = 6.0;  // slower than w1
-  const GateResult result = gate_parallel(current, nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  Doc current = healthy_parallel();
+  current.cases.at("n256/w4").at("wall_sec") = 6.0;  // slower than w1
+  const GateResult result = gate(current, nullptr, GateOptions{});
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateParallel, BaselineOnlyCaseFailsByDefaultNamingTheCase) {
-  const ParallelSummary baseline = healthy_parallel();
-  ParallelSummary current = healthy_parallel();
-  current.cases.erase("n2000");
-  const GateResult result = gate_parallel(current, &baseline, GateOptions{});
+  const Doc baseline = healthy_parallel();
+  Doc current = healthy_parallel();
+  current.cases.erase("n2000/w1");
+  current.cases.erase("n2000/w4");
+  const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("n2000") != std::string::npos &&
-                      f.find("was not run") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"n2000/w4", "was not run"}));
 }
 
 TEST(PerfGateParallel, AllowCaseSubsetWaivesBaselineOnlyMisses) {
-  const ParallelSummary baseline = healthy_parallel();
-  ParallelSummary current = healthy_parallel();
-  current.cases.erase("n2000");
-  GateOptions options;
-  options.allow_case_subset = true;
-  const GateResult result = gate_parallel(current, &baseline, options);
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Doc baseline = healthy_parallel();
+  Doc current = healthy_parallel();
+  current.cases.erase("n2000/w1");
+  current.cases.erase("n2000/w4");
+  const GateResult result = gate(current, &baseline, GateOptions{.allow_case_subset = true});
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateParallel, BaselineEventDriftPastToleranceFails) {
-  const ParallelSummary baseline = healthy_parallel();
-  ParallelSummary current = healthy_parallel();
-  for (auto& [name, run] : current.cases.at("n2000").runs) {
-    (void)name;
-    run.events *= 1.5;  // consistent across workers, so bit-identity holds
-  }
-  const GateResult result = gate_parallel(current, &baseline, GateOptions{});
+  const Doc baseline = healthy_parallel();
+  Doc current = healthy_parallel();
+  // Consistent across workers, so bit-identity holds.
+  current.cases.at("n2000/w1").at("events") *= 1.5;
+  current.cases.at("n2000/w4").at("events") *= 1.5;
+  const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("outside baseline") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"n2000/w1", "outside the baseline band"}));
 }
 
 TEST(PerfGateParallel, WallTimeTrajectoryRegressionFails) {
-  const ParallelSummary baseline = healthy_parallel();
-  ParallelSummary current = healthy_parallel();
+  const Doc baseline = healthy_parallel();
+  Doc current = healthy_parallel();
   // w1 on the big case takes 3x the baseline's relative wall time while the
   // anchor is unchanged — the serial engine's scaling shape regressed.
-  current.cases.at("n2000").runs.at("w1").wall_sec =
-      baseline.cases.at("n2000").runs.at("w1").wall_sec * 3.0;
-  current.cases.at("n2000").runs.at("w4").wall_sec =
-      baseline.cases.at("n2000").runs.at("w4").wall_sec * 3.0;
-  const GateResult result = gate_parallel(current, &baseline, GateOptions{});
+  current.cases.at("n2000/w1").at("wall_sec") *= 3.0;
+  current.cases.at("n2000/w4").at("wall_sec") *= 3.0;
+  const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("scaling shape regressed") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"n2000/w1", "scaling shape regressed"}));
 }
 
 TEST(PerfGateParallel, RejectsNonParallelAndIncompleteDocuments) {
-  std::string error;
-  EXPECT_FALSE(load_parallel_summary(
-                   parse_ok(R"({"schema": 1, "tool": "scale_sweep"})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("parallel_sweep"), std::string::npos);
-  EXPECT_FALSE(load_parallel_summary(
-                   parse_ok(R"({"schema": 1, "tool": "parallel_sweep", "cases": {}})"),
-                   &error)
-                   .has_value());
-  EXPECT_NE(error.find("host_cpus"), std::string::npos);
-  // A case whose runs lack the w1 reference cannot be gated.
-  EXPECT_FALSE(
-      load_parallel_summary(
-          parse_ok(
-              R"({"schema": 1, "tool": "parallel_sweep", "host_cpus": 4, "cases": {
-                   "n256": {"nodes": 256, "zones": 16, "procs": 2560, "runs": {
-                     "w4": {"workers": 4, "events": 10, "sim_sec": 1,
-                            "wall_sec": 1, "events_per_sec": 10}}}}})"),
-          &error)
-          .has_value());
-  EXPECT_NE(error.find("w1"), std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "parallel_sweep", "cases": {}})")
+                .find("host_cpus"),
+            std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "parallel_sweep", "host_cpus": 4, "cases": {
+                            "n256/w1": {"nodes": 256, "workers": 1, "sim_sec": 1,
+                                        "wall_sec": 1}}})")
+                .find("'events'"),
+            std::string::npos);
+  // A size whose runs lack the w1 reference cannot be gated.
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "parallel_sweep", "host_cpus": 4, "cases": {
+                            "n256/w4": {"nodes": 256, "workers": 4, "events": 10,
+                                        "sim_sec": 1, "wall_sec": 1}}})")
+                .find("no reference case 'n256/w1'"),
+            std::string::npos);
 }
 
-// ---------------------------------------------------------------------------
-// Cache-ablation mode (BENCH_cache.json)
-// ---------------------------------------------------------------------------
+// --- cache_ablation ---------------------------------------------------------
 
-CachePolicyRun cache_run(double migrations, double charged_ms) {
-  CachePolicyRun run;
-  run.migrations = migrations;
-  run.warmup_charged_ms = charged_ms;
-  run.warmup_paid_ms = charged_ms;
-  run.makespan_sec = 30.0;
-  return run;
+Metrics cache_run(double wss_kib, double migrations, double charged_ms) {
+  return {{"wss_kib", wss_kib},          {"nodes", 3.0},
+          {"procs", 5.0},                {"migrations", migrations},
+          {"warmup_charged_ms", charged_ms}, {"warmup_paid_ms", charged_ms},
+          {"makespan_sec", 30.0}};
 }
 
-CacheSummary healthy_cache() {
-  CacheSummary summary;
+Doc healthy_cache() {
+  Doc doc;
+  doc.tool = "cache_ablation";
   const struct {
     const char* name;
     double wss_kib;
@@ -522,106 +531,75 @@ CacheSummary healthy_cache() {
       {"wss4096k", 4096.0, 160.0, 95.0},
   };
   for (const auto& spec : kCases) {
-    CacheCase c;
-    c.wss_kib = spec.wss_kib;
-    c.nodes = 4.0;
-    c.procs = 9.0;
-    c.policies.emplace("load", cache_run(4.0, spec.load_ms));
-    c.policies.emplace("eq3", cache_run(4.0, spec.load_ms * 0.9));
-    c.policies.emplace("cache", cache_run(4.0, spec.cache_ms));
-    summary.cases.emplace(spec.name, std::move(c));
+    const std::string name = spec.name;
+    doc.cases.emplace(name + "/load", cache_run(spec.wss_kib, 4.0, spec.load_ms));
+    doc.cases.emplace(name + "/eq3", cache_run(spec.wss_kib, 4.0, spec.load_ms * 0.9));
+    doc.cases.emplace(name + "/cache", cache_run(spec.wss_kib, 4.0, spec.cache_ms));
   }
-  return summary;
+  return doc;
 }
 
 TEST(PerfGateCache, HealthyAblationPasses) {
-  const GateResult result = gate_cache(healthy_cache(), nullptr, GateOptions{});
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const GateResult result = gate(healthy_cache(), nullptr, GateOptions{});
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateCache, MissingPolicyFailsNamingCaseAndPolicy) {
-  CacheSummary current = healthy_cache();
-  current.cases.at("wss4096k").policies.erase("eq3");
-  const GateResult result = gate_cache(current, nullptr, GateOptions{});
+  Doc current = healthy_cache();
+  current.cases.erase("wss4096k/eq3");
+  const GateResult result = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("wss4096k") != std::string::npos &&
-                      f.find("eq3") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"wss4096k/eq3", "missing from this run"}));
 }
 
 TEST(PerfGateCache, CacheAwareNotBeatingLoadFails) {
   // The acceptance invariant: under contention, cache-aware placement must
   // strictly reduce the total warm-up charge vs the load-greedy pick.
-  CacheSummary current = healthy_cache();
-  for (auto& [name, c] : current.cases) {
-    (void)name;
-    c.policies.at("cache").warmup_charged_ms = c.policies.at("load").warmup_charged_ms;
+  Doc current = healthy_cache();
+  for (const char* wss : {"wss1024k", "wss4096k"}) {
+    current.cases.at(std::string(wss) + "/cache").at("warmup_charged_ms") =
+        current.cases.at(std::string(wss) + "/load").at("warmup_charged_ms");
   }
-  const GateResult result = gate_cache(current, nullptr, GateOptions{});
+  const GateResult result = gate(current, nullptr, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || f.find("not strictly below") != std::string::npos;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"not strictly below"}));
 }
 
 TEST(PerfGateCache, RoundTripsThroughRenderAndLoad) {
-  const CacheSummary summary = healthy_cache();
-  std::string error;
-  const auto reloaded = load_cache_summary(parse_ok(render_cache_summary(summary)), &error);
-  ASSERT_TRUE(reloaded.has_value()) << error;
-  ASSERT_EQ(reloaded->cases.size(), summary.cases.size());
-  const CacheCase& original = summary.cases.at("wss4096k");
-  const CacheCase& round = reloaded->cases.at("wss4096k");
-  EXPECT_DOUBLE_EQ(round.wss_kib, original.wss_kib);
-  EXPECT_DOUBLE_EQ(round.policies.at("cache").warmup_charged_ms,
-                   original.policies.at("cache").warmup_charged_ms);
-  EXPECT_DOUBLE_EQ(round.policies.at("load").migrations,
-                   original.policies.at("load").migrations);
+  const Doc doc = healthy_cache();
+  const Doc reloaded = load_ok(render_doc(doc));
+  EXPECT_EQ(reloaded.tool, doc.tool);
+  EXPECT_EQ(reloaded.cases, doc.cases);
 }
 
 TEST(PerfGateCache, BaselineChargeRegressionFails) {
-  const CacheSummary baseline = healthy_cache();
-  CacheSummary current = healthy_cache();
-  current.cases.at("wss4096k").policies.at("cache").warmup_charged_ms *= 2.0;
-  const GateResult result = gate_cache(current, &baseline, GateOptions{});
+  const Doc baseline = healthy_cache();
+  Doc current = healthy_cache();
+  current.cases.at("wss4096k/cache").at("warmup_charged_ms") *= 2.0;
+  const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
-  bool found = false;
-  for (const std::string& f : result.failures) {
-    found = found || (f.find("wss4096k.cache") != std::string::npos &&
-                      f.find("warmup_charged_ms") != std::string::npos);
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(has_failure(result, {"wss4096k/cache", "warmup_charged_ms"}));
 }
 
 TEST(PerfGateCache, CaseMismatchFollowsTheFailByDefaultRule) {
-  const CacheSummary baseline = healthy_cache();
-  CacheSummary current = healthy_cache();
-  current.cases.erase("wss1024k");
-  EXPECT_FALSE(gate_cache(current, &baseline, GateOptions{}).pass);
-  GateOptions waived;
-  waived.allow_case_subset = true;
-  const GateResult result = gate_cache(current, &baseline, waived);
-  EXPECT_TRUE(result.pass) << (result.failures.empty() ? "" : result.failures[0]);
+  const Doc baseline = healthy_cache();
+  Doc current = healthy_cache();
+  for (const char* policy : {"load", "eq3", "cache"}) {
+    current.cases.erase(std::string("wss1024k/") + policy);
+  }
+  EXPECT_FALSE(gate(current, &baseline, GateOptions{}).pass);
+  const GateResult result = gate(current, &baseline, GateOptions{.allow_case_subset = true});
+  EXPECT_TRUE(result.pass) << first_failure(result);
 }
 
 TEST(PerfGateCache, RejectsForeignAndIncompleteDocuments) {
-  std::string error;
-  EXPECT_FALSE(load_cache_summary(
-                   parse_ok(R"({"schema": 1, "tool": "scale_sweep"})"), &error)
-                   .has_value());
-  EXPECT_NE(error.find("cache_ablation"), std::string::npos);
-  EXPECT_FALSE(
-      load_cache_summary(
-          parse_ok(R"({"schema": 1, "tool": "cache_ablation", "cases": {
-                        "wss64k": {"wss_kib": 64, "nodes": 4, "procs": 9}}})"),
-          &error)
-          .has_value());
-  EXPECT_NE(error.find("policies"), std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "perf_gate", "host_cpus": 1, "cases": {}})")
+                .find("no rules"),
+            std::string::npos);
+  EXPECT_NE(load_error(R"({"schema": 2, "tool": "cache_ablation", "host_cpus": 1, "cases": {
+                            "wss64k/load": {"wss_kib": 64, "migrations": 1}}})")
+                .find("'warmup_charged_ms'"),
+            std::string::npos);
 }
 
 }  // namespace

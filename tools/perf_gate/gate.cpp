@@ -1,15 +1,17 @@
 #include "perf_gate/gate.hpp"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
+#include <set>
+#include <string_view>
 #include <utility>
 
 namespace ampom::perfgate {
 namespace {
 
-// ---------------------------------------------------------------------------
-// JSON parsing: recursive descent over the subset the two schemas use.
-// ---------------------------------------------------------------------------
+// JSON parsing: recursive descent over the subset the documents use.
 
 class Parser {
  public:
@@ -23,17 +25,18 @@ class Parser {
     }
     skip_ws();
     if (pos_ != text_.size()) {
-      return fail("trailing characters after document");
+      fail("trailing characters after document");
+      return std::nullopt;
     }
     return value;
   }
 
  private:
-  std::optional<JsonValue> fail(const std::string& what) {
+  bool fail(const std::string& what) {
     if (error_ != nullptr && error_->empty()) {
       *error_ = what + " at byte " + std::to_string(pos_);
     }
-    return std::nullopt;
+    return false;
   }
 
   void skip_ws() {
@@ -51,8 +54,7 @@ class Parser {
 
   bool expect(char c) {
     if (at_end() || text_[pos_] != c) {
-      fail(std::string("expected '") + c + "'");
-      return false;
+      return fail(std::string("expected '") + c + "'");
     }
     ++pos_;
     return true;
@@ -60,22 +62,31 @@ class Parser {
 
   bool parse_value(JsonValue& out) {
     if (at_end()) {
-      fail("unexpected end of input");
-      return false;
+      return fail("unexpected end of input");
     }
     switch (peek()) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        // Bounded recursion: a hostile "[[[[..." must fail, not overflow
+        // the stack.
+        if (depth_ == kMaxJsonDepth) {
+          return fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+        }
+        ++depth_;
+        const bool ok = parse_members(out, peek() == '{');
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JsonValue::Kind::String;
         return parse_string(out.string);
       case 't':
       case 'f':
-        return parse_bool(out);
+        out.kind = JsonValue::Kind::Bool;
+        out.boolean = peek() == 't';
+        return parse_literal(out.boolean ? "true" : "false");
       case 'n':
-        return parse_literal("null") && (out.kind = JsonValue::Kind::Null, true);
+        return parse_literal("null");
       default:
         return parse_number(out);
     }
@@ -84,22 +95,11 @@ class Parser {
   bool parse_literal(const char* word) {
     for (const char* p = word; *p != '\0'; ++p) {
       if (at_end() || text_[pos_] != *p) {
-        fail(std::string("expected '") + word + "'");
-        return false;
+        return fail(std::string("expected '") + word + "'");
       }
       ++pos_;
     }
     return true;
-  }
-
-  bool parse_bool(JsonValue& out) {
-    out.kind = JsonValue::Kind::Bool;
-    if (peek() == 't') {
-      out.boolean = true;
-      return parse_literal("true");
-    }
-    out.boolean = false;
-    return parse_literal("false");
   }
 
   bool parse_number(JsonValue& out) {
@@ -114,15 +114,13 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) {
-      fail("expected a value");
-      return false;
+      return fail("expected a value");
     }
     const std::string token = text_.substr(start, pos_ - start);
     char* end = nullptr;
     out.number = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') {
-      fail("malformed number '" + token + "'");
-      return false;
+      return fail("malformed number '" + token + "'");
     }
     out.kind = JsonValue::Kind::Number;
     return true;
@@ -158,77 +156,39 @@ class Parser {
         case 'u': {
           // The schemas are ASCII; decode BMP escapes in range, '?' otherwise.
           if (pos_ + 4 > text_.size()) {
-            fail("truncated \\u escape");
-            return false;
+            return fail("truncated \\u escape");
           }
           const std::string hex = text_.substr(pos_, 4);
           pos_ += 4;
           char* end = nullptr;
           const long code = std::strtol(hex.c_str(), &end, 16);
           if (end == nullptr || *end != '\0') {
-            fail("malformed \\u escape");
-            return false;
+            return fail("malformed \\u escape");
           }
           out += (code >= 0x20 && code < 0x7F) ? static_cast<char>(code) : '?';
           break;
         }
         default:
-          fail("unknown escape");
-          return false;
+          return fail("unknown escape");
       }
     }
-    fail("unterminated string");
-    return false;
+    return fail("unterminated string");
   }
 
-  bool parse_array(JsonValue& out) {
-    out.kind = JsonValue::Kind::Array;
-    if (!expect('[')) {
-      return false;
-    }
+  // An array or object; `pos_` is at its opening bracket.
+  bool parse_members(JsonValue& out, bool object) {
+    out.kind = object ? JsonValue::Kind::Object : JsonValue::Kind::Array;
+    const char close = object ? '}' : ']';
+    ++pos_;
     skip_ws();
-    if (!at_end() && peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      skip_ws();
-      if (!parse_value(element)) {
-        return false;
-      }
-      out.array.push_back(std::move(element));
-      skip_ws();
-      if (at_end()) {
-        fail("unterminated array");
-        return false;
-      }
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      return expect(']');
-    }
-  }
-
-  bool parse_object(JsonValue& out) {
-    out.kind = JsonValue::Kind::Object;
-    if (!expect('{')) {
-      return false;
-    }
-    skip_ws();
-    if (!at_end() && peek() == '}') {
+    if (!at_end() && peek() == close) {
       ++pos_;
       return true;
     }
     while (true) {
       skip_ws();
       std::string key;
-      if (!parse_string(key)) {
-        return false;
-      }
-      skip_ws();
-      if (!expect(':')) {
+      if (object && !(parse_string(key) && (skip_ws(), expect(':')))) {
         return false;
       }
       skip_ws();
@@ -236,113 +196,420 @@ class Parser {
       if (!parse_value(value)) {
         return false;
       }
-      out.object.insert_or_assign(std::move(key), std::move(value));
+      if (object) {
+        out.object.insert_or_assign(std::move(key), std::move(value));
+      } else {
+        out.array.push_back(std::move(value));
+      }
       skip_ws();
       if (at_end()) {
-        fail("unterminated object");
-        return false;
+        return fail(object ? "unterminated object" : "unterminated array");
       }
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+      if (peek() != ',') {
+        return expect(close);
       }
-      return expect('}');
+      ++pos_;
     }
   }
 
   const std::string& text_;
   std::string* error_;
   std::size_t pos_{0};
+  int depth_{0};
 };
 
+// The shortest text that parses back to the same double: deterministic
+// values (event counts, simulated seconds) must survive a render exactly.
 std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
+  char buf[32];  // enough for any double in shortest form
+  return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
-// Exact rendering for counters compared with ==; "%.6g" would round a
-// 4013614-vs-4013613 drift into two identical-looking strings.
-std::string fmt_exact(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  std::string out = buf;
-  if (out.find('.') != std::string::npos && out.find('e') == std::string::npos) {
-    out.erase(out.find_last_not_of('0') + 1);
-    if (!out.empty() && out.back() == '.') {
-      out.pop_back();
+// "group/member" splits at the slash; an ungrouped name is {name, ""}.
+struct CaseName {
+  std::string_view group;
+  std::string_view member;
+};
+
+CaseName split(std::string_view name) {
+  const auto slash = name.find('/');
+  if (slash == std::string_view::npos) {
+    return {name, {}};
+  }
+  return {name.substr(0, slash), name.substr(slash + 1)};
+}
+
+std::optional<Doc> reject(std::string* error, const std::string& what) {
+  if (error != nullptr) {
+    *error = what;
+  }
+  return std::nullopt;
+}
+
+// The rule table: the check kinds, then one row per rule.
+enum class Check {
+  kExact,          // metric == bound
+  kFloor,          // metric >= bound (x by); with ref, the ratio ref/case (a speedup)
+  kCeiling,        // metric <= bound (x by)
+  kGroupEqual,     // metric == the same group's ref case's metric
+  kGroupSpread,    // max <= min x bound across the selected cases
+  kGroupSumBelow,  // sum over the selected cases < sum over their ref cases
+  kInfo,           // note the listed metrics of each selected case
+  kBand,           // baseline: base x lower <= metric <= base x bound
+  kTrajectory,     // baseline: metric / anchor's <= baseline's ratio x bound
+};
+
+struct Rule {
+  const char* tool;
+  Check check;
+  // "*" selects every case, "*/m" member m of every group, anything else
+  // that one case. A named member or case must be present in the run.
+  const char* cases;
+  // The metric checked; for kInfo a comma-separated list. Every selected
+  // case must carry it.
+  const char* metric;
+  double bound{0.0};
+  double lower{0.0};
+  // kFloor/kCeiling: the bound scales with this metric of the same case.
+  // kTrajectory: the anchor is the common case with its smallest value.
+  const char* by{nullptr};
+  // The member of the same group a case is compared with; required in
+  // every group.
+  const char* ref{nullptr};
+  // Optional case condition; the rule skips cases it rejects.
+  bool (*when)(const Doc& doc, const std::string& name){nullptr};
+  const char* why{""};
+};
+
+// CI's tolerance for deterministic drift and host noise against a baseline.
+constexpr double kTolerance = 0.30;
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+// The parallel speedup floor binds on the widest run of a >= 2000-node case,
+// and only when the recording host had a CPU per worker: a 1-CPU container
+// cannot speed anything up, yet its file still gates bit-identity and the
+// trajectory.
+bool widest_large_run_with_cpus(const Doc& doc, const std::string& name) {
+  const double workers = doc.cases.at(name).at("workers");
+  if (doc.cases.at(name).at("nodes") < 2000.0 || workers <= 1.0 || doc.host_cpus < workers) {
+    return false;
+  }
+  for (const auto& [other, metrics] : doc.cases) {
+    if (split(other).group == split(name).group && metrics.at("workers") > workers) {
+      return false;
+    }
+  }
+  return true;
+}
+
+constexpr Rule kRules[] = {
+    // bench/micro_simcore: the indexed event queue against the in-binary
+    // lazy-delete reference, per profile.
+    {.tool = "micro_simcore", .check = Check::kExact, .cases = "*/indexed",
+     .metric = "allocs_per_op", .bound = 0.0,
+     .why = "the SBO contract: steady-state scheduling allocates nothing"},
+    {.tool = "micro_simcore", .check = Check::kFloor, .cases = "cancel_heavy/indexed",
+     .metric = "speedup_vs_lazy", .bound = 1.5,
+     .why = "in-place cancel must beat lazy deletion where cancels dominate"},
+    {.tool = "micro_simcore", .check = Check::kBand, .cases = "*/indexed",
+     .metric = "speedup_vs_lazy", .bound = kUnbounded, .lower = 1.0 - kTolerance,
+     .why = "speedup regressed"},
+    {.tool = "micro_simcore", .check = Check::kBand, .cases = "*/indexed",
+     .metric = "peak_queued", .bound = 1.0 + kTolerance,
+     .why = "cancelled entries are piling up in the queue"},
+    {.tool = "micro_simcore", .check = Check::kInfo, .cases = "*",
+     .metric = "events_per_sec,allocs_per_op,peak_queued"},
+
+    // bench/scale_sweep: one zoned gossip world per cluster size.
+    {.tool = "scale_sweep", .check = Check::kCeiling, .cases = "*",
+     .metric = "msgs_per_node_period", .bound = 3.0, .by = "fan_out",
+     .why = "O(fan_out) ceiling: a daemon sends ~2x fan_out per period, an "
+            "all-pairs regression ~2x(n-1)"},
+    {.tool = "scale_sweep", .check = Check::kGroupSpread, .cases = "*",
+     .metric = "msgs_per_node_period", .bound = 1.0 + kTolerance,
+     .why = "per-node traffic depends on cluster size"},
+    {.tool = "scale_sweep", .check = Check::kBand, .cases = "*", .metric = "events",
+     .bound = 1.0 + kTolerance, .lower = 1.0 - kTolerance, .why = "event count drifted"},
+    {.tool = "scale_sweep", .check = Check::kBand, .cases = "*",
+     .metric = "msgs_per_node_period", .bound = 1.0 + kTolerance,
+     .why = "per-node traffic grew"},
+    {.tool = "scale_sweep", .check = Check::kTrajectory, .cases = "*", .metric = "wall_sec",
+     .bound = 1.0 + kTolerance, .by = "nodes", .why = "scaling shape regressed"},
+    {.tool = "scale_sweep", .check = Check::kInfo, .cases = "*",
+     .metric = "nodes,procs,events,wall_sec,events_per_sec,msgs_per_node_period"},
+
+    // bench/parallel_sweep: one world per size ("n2000"), run at each worker
+    // count ("n2000/w4"); w1 is the reference.
+    {.tool = "parallel_sweep", .check = Check::kGroupEqual, .cases = "*/*", .metric = "events",
+     .ref = "w1", .why = "the partitioned schedule depends on the worker count"},
+    {.tool = "parallel_sweep", .check = Check::kGroupEqual, .cases = "*/*",
+     .metric = "sim_sec", .ref = "w1",
+     .why = "the partitioned schedule depends on the worker count"},
+    {.tool = "parallel_sweep", .check = Check::kFloor, .cases = "*/*", .metric = "wall_sec",
+     .bound = 2.0, .ref = "w1", .when = widest_large_run_with_cpus,
+     .why = "the widest run on a large world must at least halve w1's wall time"},
+    {.tool = "parallel_sweep", .check = Check::kBand, .cases = "*/w1", .metric = "events",
+     .bound = 1.0 + kTolerance, .lower = 1.0 - kTolerance, .why = "event count drifted"},
+    {.tool = "parallel_sweep", .check = Check::kTrajectory, .cases = "*/w1",
+     .metric = "wall_sec", .bound = 1.0 + kTolerance, .by = "nodes",
+     .why = "scaling shape regressed"},
+    {.tool = "parallel_sweep", .check = Check::kInfo, .cases = "*/*",
+     .metric = "nodes,workers,events,sim_sec,wall_sec"},
+
+    // bench/cache_ablation: one contended world per migrant WSS, run under
+    // each placement policy ("wss4096k/cache"). Every field is simulated,
+    // so the bands only absorb future model drift. The info rows name all
+    // three policies, so each must have run in every case.
+    {.tool = "cache_ablation", .check = Check::kGroupSumBelow, .cases = "*/cache",
+     .metric = "warmup_charged_ms", .ref = "load",
+     .why = "cache-aware placement must buy a lower total warm-up than load-only"},
+    {.tool = "cache_ablation", .check = Check::kBand, .cases = "*/*", .metric = "migrations",
+     .bound = 1.0 + kTolerance, .why = "more migrations than the baseline"},
+    {.tool = "cache_ablation", .check = Check::kBand, .cases = "*/*",
+     .metric = "warmup_charged_ms", .bound = 1.0 + kTolerance,
+     .why = "more warm-up charged than the baseline"},
+    {.tool = "cache_ablation", .check = Check::kInfo, .cases = "*/load",
+     .metric = "wss_kib,migrations,warmup_charged_ms,warmup_paid_ms,makespan_sec"},
+    {.tool = "cache_ablation", .check = Check::kInfo, .cases = "*/eq3",
+     .metric = "wss_kib,migrations,warmup_charged_ms,warmup_paid_ms,makespan_sec"},
+    {.tool = "cache_ablation", .check = Check::kInfo, .cases = "*/cache",
+     .metric = "wss_kib,migrations,warmup_charged_ms,warmup_paid_ms,makespan_sec"},
+};
+
+// Every metric a rule reads from a case it selects.
+std::vector<std::string> metrics_read(const Rule& rule) {
+  std::vector<std::string> names;
+  std::string_view list = rule.metric;
+  while (!list.empty()) {
+    const auto comma = list.find(',');
+    names.emplace_back(list.substr(0, comma));
+    list = comma == std::string_view::npos ? std::string_view{} : list.substr(comma + 1);
+  }
+  if (rule.by != nullptr) {
+    names.emplace_back(rule.by);
+  }
+  return names;
+}
+
+bool matches(std::string_view pattern, std::string_view name) {
+  if (pattern == "*") {
+    return true;
+  }
+  const CaseName p = split(pattern);
+  const CaseName n = split(name);
+  if (p.member.empty() || n.member.empty()) {
+    return pattern == name;
+  }
+  return (p.group == "*" || p.group == n.group) && (p.member == "*" || p.member == n.member);
+}
+
+std::string ref_case(const std::string& name, const Rule& rule) {
+  return std::string(split(name).group) + "/" + rule.ref;
+}
+
+// The cases a rule checks: matched by its pattern, accepted by its
+// condition, and — for comparisons — with their reference case present
+// (a missing one is reported once, as a missing case).
+std::vector<std::string> selected(const Doc& doc, const Rule& rule) {
+  std::vector<std::string> out;
+  for (const auto& [name, metrics] : doc.cases) {
+    if (matches(rule.cases, name) && (rule.when == nullptr || rule.when(doc, name)) &&
+        (rule.ref == nullptr || doc.cases.count(ref_case(name, rule)) != 0)) {
+      out.push_back(name);
     }
   }
   return out;
 }
 
-// The three engine profiles and their benchmark-name stems in micro_simcore.
-struct ProfileName {
-  const char* key;
-  const char* bench_stem;
-};
-constexpr ProfileName kProfiles[] = {
-    {"schedule_heavy", "BM_ScheduleHeavy"},
-    {"cancel_heavy", "BM_CancelHeavy"},
-    {"mixed", "BM_Mixed"},
-};
-
-const JsonValue* find_benchmark(const JsonValue& benchmarks, const std::string& name) {
-  for (const JsonValue& entry : benchmarks.array) {
-    const JsonValue* n = entry.find("name");
-    if (n != nullptr && n->kind == JsonValue::Kind::String && n->string == name) {
-      return &entry;
+// The cases the tool's rules name: literal patterns, "*/m" members and
+// reference members, in every group of the run.
+std::set<std::string> required_cases(const Doc& doc) {
+  std::set<std::string> out;
+  for (const Rule& rule : kRules) {
+    if (doc.tool != rule.tool) {
+      continue;
+    }
+    const std::string_view pattern = rule.cases;
+    const CaseName named = split(pattern);
+    if (pattern.find('*') == std::string_view::npos) {
+      out.emplace(pattern);
+    }
+    for (const auto& [name, metrics] : doc.cases) {
+      const std::string group{split(name).group};
+      if (split(name).member.empty()) {
+        continue;  // ungrouped
+      }
+      if (named.group == "*" && !named.member.empty() && named.member != "*") {
+        out.emplace(group + "/" + std::string(named.member));
+      }
+      if (rule.ref != nullptr) {
+        out.emplace(group + "/" + rule.ref);
+      }
     }
   }
-  return nullptr;
+  return out;
 }
 
-bool read_metric(const JsonValue& bench, const char* counter, double& out,
-                 const std::string& bench_name, std::string* error) {
-  const JsonValue* v = bench.find(counter);
-  if (v == nullptr || v->kind != JsonValue::Kind::Number) {
-    if (error != nullptr) {
-      *error = bench_name + ": counter '" + counter + "' missing from benchmark output";
+void fail(GateResult& result, std::string what) {
+  result.pass = false;
+  result.failures.push_back(std::move(what));
+}
+
+// Fail-by-default case-set comparison: comparing only the intersection
+// would let a dropped case hide a regression behind a green gate, so every
+// miss is named.
+void check_case_sets(const Doc& current, const Doc& baseline, const GateOptions& options,
+                     GateResult& result) {
+  for (const auto& [name, metrics] : current.cases) {
+    if (baseline.cases.count(name) == 0) {
+      fail(result, "case '" + name +
+                       "' is missing from the baseline — nothing gates it; refresh the "
+                       "committed baseline to cover it");
     }
-    return false;
   }
-  out = v->number;
-  return true;
-}
-
-bool read_metrics(const JsonValue& benchmarks, const std::string& bench_name,
-                  ProfileMetrics& out, std::string* error) {
-  const JsonValue* bench = find_benchmark(benchmarks, bench_name);
-  if (bench == nullptr) {
-    if (error != nullptr) {
-      *error = "benchmark '" + bench_name + "' not found in raw output";
+  for (const auto& [name, metrics] : baseline.cases) {
+    if (current.cases.count(name) != 0) {
+      continue;
     }
-    return false;
-  }
-  return read_metric(*bench, "events_per_sec", out.events_per_sec, bench_name, error) &&
-         read_metric(*bench, "allocs_per_op", out.allocs_per_op, bench_name, error) &&
-         read_metric(*bench, "peak_queued", out.peak_queued, bench_name, error);
-}
-
-bool load_metrics(const JsonValue& profile, const char* engine, ProfileMetrics& out,
-                  const std::string& profile_name, std::string* error) {
-  const JsonValue* obj = profile.find(engine);
-  if (obj == nullptr || obj->kind != JsonValue::Kind::Object) {
-    if (error != nullptr) {
-      *error = "profile '" + profile_name + "' is missing the '" + engine + "' object";
+    if (options.allow_case_subset) {
+      result.notes.push_back("case '" + name +
+                             "' not run this time (baseline-only miss waived by "
+                             "--allow-case-subset)");
+    } else {
+      fail(result, "case '" + name +
+                       "' is in the baseline but was not run — pass --allow-case-subset "
+                       "if this quick grid is intentional");
     }
-    return false;
   }
-  return read_metric(*obj, "events_per_sec", out.events_per_sec, profile_name, error) &&
-         read_metric(*obj, "allocs_per_op", out.allocs_per_op, profile_name, error) &&
-         read_metric(*obj, "peak_queued", out.peak_queued, profile_name, error);
 }
 
-void render_metrics(std::string& out, const char* indent, const ProfileMetrics& m) {
-  out += indent;
-  out += "{\"events_per_sec\": " + fmt(m.events_per_sec);
-  out += ", \"allocs_per_op\": " + fmt(m.allocs_per_op);
-  out += ", \"peak_queued\": " + fmt(m.peak_queued) + "}";
+void apply(const Rule& rule, const Doc& current, const Doc* baseline, GateResult& result) {
+  const auto fail = [&](const std::string& what) {
+    perfgate::fail(result, what + " — " + rule.why);
+  };
+  const std::string metric = metrics_read(rule).front();
+  std::vector<std::string> cases = selected(current, rule);
+  if (baseline != nullptr) {  // baseline rows compare the common cases only
+    std::erase_if(cases, [&](const std::string& name) { return !baseline->cases.count(name); });
+  }
+  const auto at = [](const Doc& doc, const std::string& name, const std::string& key) {
+    return doc.cases.at(name).at(key);
+  };
+  switch (rule.check) {
+    case Check::kExact:
+      for (const std::string& name : cases) {
+        if (at(current, name, metric) != rule.bound) {
+          fail(name + ": " + metric + " = " + fmt(at(current, name, metric)) +
+               ", required exactly " + fmt(rule.bound));
+        }
+      }
+      break;
+    case Check::kFloor:
+    case Check::kCeiling:
+      for (const std::string& name : cases) {
+        double v = at(current, name, metric);
+        std::string what = metric;
+        if (rule.ref != nullptr) {
+          v = v > 0.0 ? at(current, ref_case(name, rule), metric) / v : 0.0;
+          what = "speedup over " + ref_case(name, rule) + " (" + metric + ")";
+        }
+        const double limit = rule.bound * (rule.by != nullptr ? at(current, name, rule.by) : 1.0);
+        if (rule.check == Check::kFloor ? v < limit : v > limit) {
+          fail(name + ": " + what + " " + fmt(v) +
+               (rule.check == Check::kFloor ? " is below the floor " : " exceeds the ceiling ") +
+               fmt(limit));
+        }
+      }
+      break;
+    case Check::kGroupEqual:
+      for (const std::string& name : cases) {
+        const double reference = at(current, ref_case(name, rule), metric);
+        if (at(current, name, metric) != reference) {
+          fail(name + ": " + metric + " " + fmt(at(current, name, metric)) +
+               " != " + ref_case(name, rule) + " " + metric + " " + fmt(reference));
+        }
+      }
+      break;
+    case Check::kGroupSpread: {
+      if (cases.empty()) {
+        break;
+      }
+      double low = at(current, cases.front(), metric);
+      double high = low;
+      for (const std::string& name : cases) {
+        low = std::min(low, at(current, name, metric));
+        high = std::max(high, at(current, name, metric));
+      }
+      // No zero exemption: a case that reports 0 beside one that does not
+      // is the widest spread there is.
+      if (high > low * rule.bound) {
+        fail(metric + " spreads from " + fmt(low) + " to " + fmt(high) +
+             " across cases (limit " + fmt(rule.bound) + "x)");
+      }
+      break;
+    }
+    case Check::kGroupSumBelow: {
+      double sum = 0.0;
+      double ref_sum = 0.0;
+      for (const std::string& name : cases) {
+        sum += at(current, name, metric);
+        ref_sum += at(current, ref_case(name, rule), metric);
+      }
+      if (!cases.empty() && !(sum < ref_sum)) {
+        fail(std::string("total ") + metric + " over " + rule.cases + " is " + fmt(sum) +
+             ", not strictly below " + fmt(ref_sum) + " over */" + rule.ref);
+      }
+      break;
+    }
+    case Check::kInfo:
+      for (const std::string& name : cases) {
+        std::string note = name + ":";
+        for (const std::string& key : metrics_read(rule)) {
+          note += " " + key + " " + fmt(at(current, name, key));
+        }
+        result.notes.push_back(note);
+      }
+      break;
+    case Check::kBand:
+      for (const std::string& name : cases) {
+        const double base = at(*baseline, name, metric);
+        const double v = at(current, name, metric);
+        if (v < base * rule.lower || v > base * rule.bound) {
+          fail(name + ": " + metric + " " + fmt(v) + " is outside the baseline band [" +
+               fmt(base * rule.lower) + ", " + fmt(base * rule.bound) + "] around " +
+               fmt(base));
+        }
+      }
+      break;
+    case Check::kTrajectory: {
+      // Wall time relative to the smallest common case: machine speed
+      // cancels in the ratio and the scaling shape remains.
+      const std::string* anchor = nullptr;
+      for (const std::string& name : cases) {
+        if (anchor == nullptr || at(current, name, rule.by) < at(current, *anchor, rule.by)) {
+          anchor = &name;
+        }
+      }
+      if (anchor == nullptr) {
+        break;
+      }
+      const double cur_anchor = at(current, *anchor, metric);
+      const double base_anchor = at(*baseline, *anchor, metric);
+      for (const std::string& name : cases) {
+        if (name == *anchor || cur_anchor <= 0.0 || base_anchor <= 0.0 ||
+            at(*baseline, name, metric) <= 0.0) {
+          continue;
+        }
+        const double ratio = at(current, name, metric) / cur_anchor;
+        const double base_ratio = at(*baseline, name, metric) / base_anchor;
+        if (ratio > base_ratio * rule.bound) {
+          fail(name + ": " + metric + " relative to " + *anchor + " is " + fmt(ratio) +
+               "x, above the baseline's " + fmt(base_ratio) + "x times " + fmt(rule.bound));
+        }
+      }
+      break;
+    }
+  }
 }
 
 }  // namespace
@@ -362,716 +629,152 @@ std::optional<JsonValue> parse_json(const std::string& text, std::string* error)
   return Parser{text, error}.parse();
 }
 
-std::optional<Summary> summarize_raw(const JsonValue& raw, std::string* error) {
+std::optional<Doc> summarize_raw(const JsonValue& raw, std::string* error) {
   const JsonValue* benchmarks = raw.find("benchmarks");
   if (benchmarks == nullptr || benchmarks->kind != JsonValue::Kind::Array) {
-    if (error != nullptr) {
-      *error = "raw output has no 'benchmarks' array";
-    }
-    return std::nullopt;
+    return reject(error, "raw output has no 'benchmarks' array");
   }
-  Summary summary;
-  for (const ProfileName& p : kProfiles) {
-    EngineProfile profile;
-    const std::string stem{p.bench_stem};
-    if (!read_metrics(*benchmarks, stem + "_Indexed", profile.indexed, error) ||
-        !read_metrics(*benchmarks, stem + "_Lazy", profile.lazy, error)) {
-      return std::nullopt;
-    }
-    if (profile.lazy.events_per_sec <= 0.0) {
-      if (error != nullptr) {
-        *error = stem + "_Lazy reports a non-positive events_per_sec";
-      }
-      return std::nullopt;
-    }
-    profile.speedup_vs_lazy = profile.indexed.events_per_sec / profile.lazy.events_per_sec;
-    summary.profiles.emplace(p.key, std::move(profile));
-  }
-  return summary;
-}
-
-std::string render_summary(const Summary& summary) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"perf_gate\",\n  \"profiles\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, profile] : summary.profiles) {
-    out += "    \"" + name + "\": {\n";
-    out += "      \"indexed\": ";
-    render_metrics(out, "", profile.indexed);
-    out += ",\n      \"lazy\": ";
-    render_metrics(out, "", profile.lazy);
-    out += ",\n      \"speedup_vs_lazy\": " + fmt(profile.speedup_vs_lazy) + "\n    }";
-    out += (++i < summary.profiles.size()) ? ",\n" : "\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
-std::optional<Summary> load_summary(const JsonValue& doc, std::string* error) {
-  const JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::Number ||
-      schema->number != 1.0) {
-    if (error != nullptr) {
-      *error = "baseline is missing \"schema\": 1";
-    }
-    return std::nullopt;
-  }
-  const JsonValue* profiles = doc.find("profiles");
-  if (profiles == nullptr || profiles->kind != JsonValue::Kind::Object) {
-    if (error != nullptr) {
-      *error = "baseline has no 'profiles' object";
-    }
-    return std::nullopt;
-  }
-  Summary summary;
-  for (const auto& [name, value] : profiles->object) {
-    EngineProfile profile;
-    if (!load_metrics(value, "indexed", profile.indexed, name, error) ||
-        !load_metrics(value, "lazy", profile.lazy, name, error)) {
-      return std::nullopt;
-    }
-    const JsonValue* speedup = value.find("speedup_vs_lazy");
-    if (speedup == nullptr || speedup->kind != JsonValue::Kind::Number) {
-      if (error != nullptr) {
-        *error = "profile '" + name + "' is missing speedup_vs_lazy";
-      }
-      return std::nullopt;
-    }
-    profile.speedup_vs_lazy = speedup->number;
-    summary.profiles.emplace(name, std::move(profile));
-  }
-  return summary;
-}
-
-GateResult gate(const Summary& current, const Summary* baseline,
-                const GateOptions& options) {
-  GateResult result;
-  auto fail = [&result](std::string message) {
-    result.pass = false;
-    result.failures.push_back(std::move(message));
+  // The three engine profiles and their benchmark-name stems.
+  constexpr std::pair<const char*, const char*> kProfiles[] = {
+      {"schedule_heavy", "BM_ScheduleHeavy"},
+      {"cancel_heavy", "BM_CancelHeavy"},
+      {"mixed", "BM_Mixed"},
   };
-
-  for (const auto& [name, profile] : current.profiles) {
-    result.notes.push_back(name + ": indexed " + fmt(profile.indexed.events_per_sec) +
-                           " ev/s, lazy " + fmt(profile.lazy.events_per_sec) +
-                           " ev/s, speedup " + fmt(profile.speedup_vs_lazy) +
-                           "x, peak_queued " + fmt(profile.indexed.peak_queued) + " vs " +
-                           fmt(profile.lazy.peak_queued));
-    // The SBO contract: steady-state scheduling allocates nothing. Exact —
-    // a single stray allocation per million ops is a broken inline path.
-    if (profile.indexed.allocs_per_op != 0.0) {
-      fail(name + ": indexed allocs_per_op = " + fmt(profile.indexed.allocs_per_op) +
-           " (SBO contract requires exactly 0)");
-    }
-  }
-
-  const auto cancel = current.profiles.find("cancel_heavy");
-  if (cancel == current.profiles.end()) {
-    fail("cancel_heavy profile missing from this run");
-  } else if (cancel->second.speedup_vs_lazy < options.min_speedup) {
-    fail("cancel_heavy speedup " + fmt(cancel->second.speedup_vs_lazy) +
-         "x is below the " + fmt(options.min_speedup) + "x floor");
-  }
-
-  if (baseline != nullptr) {
-    for (const auto& [name, base] : baseline->profiles) {
-      const auto it = current.profiles.find(name);
-      if (it == current.profiles.end()) {
-        fail(name + ": present in the baseline but missing from this run");
-        continue;
+  constexpr std::pair<const char*, const char*> kEngines[] = {{"indexed", "_Indexed"},
+                                                              {"lazy", "_Lazy"}};
+  Doc doc;
+  doc.tool = "micro_simcore";
+  const JsonValue* context = raw.find("context");
+  const JsonValue* cpus = context != nullptr ? context->find("num_cpus") : nullptr;
+  doc.host_cpus = cpus != nullptr && cpus->kind == JsonValue::Kind::Number ? cpus->number : 0.0;
+  for (const auto& [profile, stem] : kProfiles) {
+    for (const auto& [engine, suffix] : kEngines) {
+      const std::string bench_name = std::string(stem) + suffix;
+      const JsonValue* bench = nullptr;
+      for (const JsonValue& entry : benchmarks->array) {
+        const JsonValue* name = entry.find("name");
+        if (name != nullptr && name->kind == JsonValue::Kind::String &&
+            name->string == bench_name) {
+          bench = &entry;
+        }
       }
-      const EngineProfile& cur = it->second;
-      const double speedup_floor = base.speedup_vs_lazy * (1.0 - options.tolerance);
-      if (cur.speedup_vs_lazy < speedup_floor) {
-        fail(name + ": speedup " + fmt(cur.speedup_vs_lazy) + "x regressed below " +
-             fmt(speedup_floor) + "x (baseline " + fmt(base.speedup_vs_lazy) +
-             "x, tolerance " + fmt(options.tolerance * 100.0) + "%)");
+      if (bench == nullptr) {
+        return reject(error, "benchmark '" + bench_name + "' not found in raw output");
       }
-      const double queue_ceiling = base.indexed.peak_queued * (1.0 + options.tolerance);
-      if (cur.indexed.peak_queued > queue_ceiling) {
-        fail(name + ": indexed peak_queued " + fmt(cur.indexed.peak_queued) +
-             " exceeds " + fmt(queue_ceiling) + " (baseline " +
-             fmt(base.indexed.peak_queued) + ", tolerance " +
-             fmt(options.tolerance * 100.0) + "%)");
+      Metrics& metrics = doc.cases[std::string(profile) + "/" + engine];
+      for (const char* counter : {"events_per_sec", "allocs_per_op", "peak_queued"}) {
+        const JsonValue* v = bench->find(counter);
+        if (v == nullptr || v->kind != JsonValue::Kind::Number) {
+          return reject(error, bench_name + ": counter '" + counter +
+                        "' missing from benchmark output");
+        }
+        metrics[counter] = v->number;
       }
     }
+    const double lazy_rate = doc.cases.at(std::string(profile) + "/lazy").at("events_per_sec");
+    if (lazy_rate <= 0.0) {
+      return reject(error, std::string(stem) + "_Lazy reports a non-positive events_per_sec");
+    }
+    Metrics& indexed = doc.cases.at(std::string(profile) + "/indexed");
+    indexed["speedup_vs_lazy"] = indexed.at("events_per_sec") / lazy_rate;
   }
-  return result;
+  return doc;
 }
 
-namespace {
-
-bool read_case_field(const JsonValue& obj, const char* field, double& out,
-                     const std::string& case_name, std::string* error) {
-  const JsonValue* v = obj.find(field);
-  if (v == nullptr || v->kind != JsonValue::Kind::Number) {
-    if (error != nullptr) {
-      *error = "case '" + case_name + "' is missing numeric field '" + field + "'";
-    }
-    return false;
+std::optional<Doc> load_doc(const JsonValue& json, std::string* error) {
+  const JsonValue* schema = json.find("schema");
+  const JsonValue* tool = json.find("tool");
+  const JsonValue* host_cpus = json.find("host_cpus");
+  const JsonValue* cases = json.find("cases");
+  if (schema == nullptr || schema->kind != JsonValue::Kind::Number || schema->number != 2.0) {
+    return reject(error, "not a schema-2 bench document (missing \"schema\": 2)");
   }
-  out = v->number;
-  return true;
-}
-
-// Fail-by-default case-set comparison. A baseline/current mismatch used to
-// be compared over the silent intersection, which let a dropped case hide a
-// regression behind a green gate; now every miss is named. Baseline-only
-// misses can be waived (GateOptions::allow_case_subset — CI's --quick grids
-// are strict subsets of the committed --full baselines); current-only cases
-// always fail, because nothing gates them until the baseline is refreshed.
-template <typename CaseMap>
-void check_case_sets(const CaseMap& current, const CaseMap& baseline,
-                     const GateOptions& options, const char* what, GateResult& result) {
-  for (const auto& [name, value] : current) {
-    (void)value;
-    if (baseline.find(name) == baseline.end()) {
-      result.pass = false;
-      result.failures.push_back(std::string(what) + " case '" + name +
-                                "' is missing from the baseline — nothing gates it; "
-                                "refresh the committed baseline to cover it");
-    }
+  if (tool == nullptr || tool->kind != JsonValue::Kind::String) {
+    return reject(error, "document has no 'tool' string");
   }
-  for (const auto& [name, value] : baseline) {
-    (void)value;
-    if (current.find(name) != current.end()) {
-      continue;
-    }
-    if (options.allow_case_subset) {
-      result.notes.push_back(std::string(what) + " case '" + name +
-                             "' not run this time (baseline-only miss waived by "
-                             "--allow-case-subset)");
-    } else {
-      result.pass = false;
-      result.failures.push_back(std::string(what) + " case '" + name +
-                                "' is in the baseline but was not run — pass "
-                                "--allow-case-subset if this quick grid is intentional");
-    }
+  Doc doc;
+  doc.tool = tool->string;
+  if (std::none_of(std::begin(kRules), std::end(kRules),
+                   [&doc](const Rule& rule) { return doc.tool == rule.tool; })) {
+    return reject(error, "no rules for tool '" + doc.tool + "'");
   }
-}
-
-}  // namespace
-
-std::optional<ScaleSummary> load_scale_summary(const JsonValue& doc, std::string* error) {
-  const JsonValue* schema = doc.find("schema");
-  const JsonValue* tool = doc.find("tool");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::Number ||
-      schema->number != 1.0 || tool == nullptr ||
-      tool->kind != JsonValue::Kind::String || tool->string != "scale_sweep") {
-    if (error != nullptr) {
-      *error = "not a scale_sweep schema-1 document";
-    }
-    return std::nullopt;
-  }
-  const JsonValue* cases = doc.find("cases");
-  if (cases == nullptr || cases->kind != JsonValue::Kind::Object || cases->object.empty()) {
-    if (error != nullptr) {
-      *error = "scale document has no 'cases' object";
-    }
-    return std::nullopt;
-  }
-  ScaleSummary summary;
-  for (const auto& [name, value] : cases->object) {
-    if (value.kind != JsonValue::Kind::Object) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' is not an object";
-      }
-      return std::nullopt;
-    }
-    ScaleCase c;
-    if (!read_case_field(value, "nodes", c.nodes, name, error) ||
-        !read_case_field(value, "zones", c.zones, name, error) ||
-        !read_case_field(value, "fan_out", c.fan_out, name, error) ||
-        !read_case_field(value, "procs", c.procs, name, error) ||
-        !read_case_field(value, "events", c.events, name, error) ||
-        !read_case_field(value, "sim_sec", c.sim_sec, name, error) ||
-        !read_case_field(value, "msgs_per_node_period", c.msgs_per_node_period, name,
-                         error) ||
-        !read_case_field(value, "wall_sec", c.wall_sec, name, error) ||
-        !read_case_field(value, "events_per_sec", c.events_per_sec, name, error)) {
-      return std::nullopt;
-    }
-    summary.cases.emplace(name, c);
-  }
-  return summary;
-}
-
-std::string render_scale_summary(const ScaleSummary& summary) {
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"scale_sweep\",\n  \"cases\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, c] : summary.cases) {
-    out += "    \"" + name + "\": {";
-    out += "\"nodes\": " + fmt(c.nodes);
-    out += ", \"zones\": " + fmt(c.zones);
-    out += ", \"fan_out\": " + fmt(c.fan_out);
-    out += ", \"procs\": " + fmt(c.procs);
-    out += ", \"events\": " + fmt(c.events);
-    out += ", \"sim_sec\": " + fmt(c.sim_sec);
-    out += ", \"msgs_per_node_period\": " + fmt(c.msgs_per_node_period);
-    out += ", \"wall_sec\": " + fmt(c.wall_sec);
-    out += ", \"events_per_sec\": " + fmt(c.events_per_sec);
-    out += ++i < summary.cases.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
-GateResult gate_scale(const ScaleSummary& current, const ScaleSummary* baseline,
-                      const GateOptions& options) {
-  GateResult result;
-  auto fail = [&result](std::string message) {
-    result.pass = false;
-    result.failures.push_back(std::move(message));
-  };
-
-  double min_traffic = 0.0;
-  double max_traffic = 0.0;
-  bool first = true;
-  for (const auto& [name, c] : current.cases) {
-    result.notes.push_back(name + ": " + fmt(c.nodes) + " nodes / " + fmt(c.procs) +
-                           " procs, " + fmt(c.events) + " events in " + fmt(c.wall_sec) +
-                           " s wall (" + fmt(c.events_per_sec) + " ev/s), " +
-                           fmt(c.msgs_per_node_period) + " msgs/node/period");
-    // The O(fan_out) invariant: a daemon sends fan_out pings and answers the
-    // ~fan_out pings aimed at it each period (~2x fan_out total). 3x is the
-    // ceiling; an all-pairs regression would sit at ~2x(n-1) instead.
-    const double ceiling = 3.0 * c.fan_out;
-    if (c.msgs_per_node_period > ceiling) {
-      fail(name + ": msgs_per_node_period " + fmt(c.msgs_per_node_period) +
-           " exceeds the O(fan_out) ceiling " + fmt(ceiling) +
-           " — per-node traffic is scaling with cluster size");
-    }
-    if (first || c.msgs_per_node_period < min_traffic) {
-      min_traffic = c.msgs_per_node_period;
-    }
-    if (first || c.msgs_per_node_period > max_traffic) {
-      max_traffic = c.msgs_per_node_period;
-    }
-    first = false;
-  }
-  // Size-independence across the grid: per-node traffic must not trend with
-  // cluster size (all cases run the same fan_out).
-  if (min_traffic > 0.0 && max_traffic > min_traffic * (1.0 + options.tolerance)) {
-    fail("msgs_per_node_period spreads from " + fmt(min_traffic) + " to " +
-         fmt(max_traffic) + " across cases (> " + fmt(options.tolerance * 100.0) +
-         "% tolerance) — per-node traffic depends on cluster size");
-  }
-
-  if (baseline == nullptr) {
-    return result;
-  }
-
-  check_case_sets(current.cases, baseline->cases, options, "scale", result);
-
-  // Compare over the case intersection; find the smallest common case to
-  // anchor the wall-time trajectory.
-  const std::string* anchor = nullptr;
-  double anchor_nodes = 0.0;
-  for (const auto& [name, base] : baseline->cases) {
-    (void)base;
-    const auto it = current.cases.find(name);
-    if (it != current.cases.end() &&
-        (anchor == nullptr || it->second.nodes < anchor_nodes)) {
-      anchor = &name;
-      anchor_nodes = it->second.nodes;
-    }
-  }
-  if (anchor == nullptr) {
-    fail("baseline and current run share no scale cases");
-    return result;
-  }
-  const ScaleCase& cur_anchor = current.cases.at(*anchor);
-  const ScaleCase& base_anchor = baseline->cases.at(*anchor);
-
-  for (const auto& [name, base] : baseline->cases) {
-    const auto it = current.cases.find(name);
-    if (it == current.cases.end()) {
-      continue;  // already reported (or waived) by check_case_sets above
-    }
-    const ScaleCase& cur = it->second;
-    const double event_ceiling = base.events * (1.0 + options.tolerance);
-    const double event_floor = base.events * (1.0 - options.tolerance);
-    if (cur.events > event_ceiling || cur.events < event_floor) {
-      fail(name + ": events " + fmt(cur.events) + " outside baseline " +
-           fmt(base.events) + " +/- " + fmt(options.tolerance * 100.0) + "%");
-    }
-    const double traffic_ceiling = base.msgs_per_node_period * (1.0 + options.tolerance);
-    if (cur.msgs_per_node_period > traffic_ceiling) {
-      fail(name + ": msgs_per_node_period " + fmt(cur.msgs_per_node_period) +
-           " exceeds baseline " + fmt(base.msgs_per_node_period) + " + " +
-           fmt(options.tolerance * 100.0) + "%");
-    }
-    // Trajectory: wall time relative to the smallest common case. Machine
-    // speed cancels in the ratio; what remains is the scaling shape.
-    if (name != *anchor && cur_anchor.wall_sec > 0.0 && base_anchor.wall_sec > 0.0 &&
-        base.wall_sec > 0.0) {
-      const double cur_ratio = cur.wall_sec / cur_anchor.wall_sec;
-      const double base_ratio = base.wall_sec / base_anchor.wall_sec;
-      if (cur_ratio > base_ratio * (1.0 + options.tolerance)) {
-        fail(name + ": wall-time ratio vs " + *anchor + " is " + fmt(cur_ratio) +
-             "x (baseline " + fmt(base_ratio) + "x + " +
-             fmt(options.tolerance * 100.0) + "% tolerance) — scaling shape regressed");
-      }
-    }
-  }
-  return result;
-}
-
-std::optional<ParallelSummary> load_parallel_summary(const JsonValue& doc,
-                                                     std::string* error) {
-  const JsonValue* schema = doc.find("schema");
-  const JsonValue* tool = doc.find("tool");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::Number ||
-      schema->number != 1.0 || tool == nullptr ||
-      tool->kind != JsonValue::Kind::String || tool->string != "parallel_sweep") {
-    if (error != nullptr) {
-      *error = "not a parallel_sweep schema-1 document";
-    }
-    return std::nullopt;
-  }
-  ParallelSummary summary;
-  const JsonValue* host_cpus = doc.find("host_cpus");
   if (host_cpus == nullptr || host_cpus->kind != JsonValue::Kind::Number) {
-    if (error != nullptr) {
-      *error = "parallel document has no numeric 'host_cpus'";
-    }
-    return std::nullopt;
+    return reject(error, "document has no numeric 'host_cpus'");
   }
-  summary.host_cpus = host_cpus->number;
-  const JsonValue* cases = doc.find("cases");
+  doc.host_cpus = host_cpus->number;
   if (cases == nullptr || cases->kind != JsonValue::Kind::Object || cases->object.empty()) {
-    if (error != nullptr) {
-      *error = "parallel document has no 'cases' object";
-    }
-    return std::nullopt;
+    return reject(error, "document has no 'cases' object");
   }
   for (const auto& [name, value] : cases->object) {
+    if (name.empty() || name.front() == '/' || name.back() == '/' ||
+        std::count(name.begin(), name.end(), '/') > 1) {
+      return reject(error, "case '" + name + "': at most one grouping level ('group/member')");
+    }
     if (value.kind != JsonValue::Kind::Object) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' is not an object";
-      }
-      return std::nullopt;
+      return reject(error, "case '" + name + "' is not an object");
     }
-    ParallelCase c;
-    if (!read_case_field(value, "nodes", c.nodes, name, error) ||
-        !read_case_field(value, "zones", c.zones, name, error) ||
-        !read_case_field(value, "procs", c.procs, name, error)) {
-      return std::nullopt;
-    }
-    const JsonValue* runs = value.find("runs");
-    if (runs == nullptr || runs->kind != JsonValue::Kind::Object || runs->object.empty()) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' has no 'runs' object";
+    Metrics& metrics = doc.cases[name];
+    for (const auto& [key, number] : value.object) {
+      if (number.kind != JsonValue::Kind::Number) {
+        return reject(error, "case '" + name + "': metric '" + key + "' is not a number");
       }
-      return std::nullopt;
-    }
-    for (const auto& [run_name, run_value] : runs->object) {
-      const std::string key = name + "." + run_name;
-      ParallelRun run;
-      if (!read_case_field(run_value, "workers", run.workers, key, error) ||
-          !read_case_field(run_value, "events", run.events, key, error) ||
-          !read_case_field(run_value, "sim_sec", run.sim_sec, key, error) ||
-          !read_case_field(run_value, "wall_sec", run.wall_sec, key, error) ||
-          !read_case_field(run_value, "events_per_sec", run.events_per_sec, key, error)) {
-        return std::nullopt;
-      }
-      c.runs.emplace(run_name, run);
-    }
-    if (c.runs.find("w1") == c.runs.end()) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' has no 'w1' reference run";
-      }
-      return std::nullopt;
-    }
-    summary.cases.emplace(name, std::move(c));
-  }
-  return summary;
-}
-
-std::string render_parallel_summary(const ParallelSummary& summary) {
-  // Counters render exactly — "%.6g" would round a 4-million event count
-  // and break the bit-identity check on the next load.
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"parallel_sweep\",\n";
-  out += "  \"host_cpus\": " + fmt_exact(summary.host_cpus) + ",\n  \"cases\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, c] : summary.cases) {
-    out += "    \"" + name + "\": {";
-    out += "\"nodes\": " + fmt_exact(c.nodes);
-    out += ", \"zones\": " + fmt_exact(c.zones);
-    out += ", \"procs\": " + fmt_exact(c.procs);
-    out += ", \"runs\": {";
-    std::size_t r = 0;
-    for (const auto& [run_name, run] : c.runs) {
-      out += "\"" + run_name + "\": {";
-      out += "\"workers\": " + fmt_exact(run.workers);
-      out += ", \"events\": " + fmt_exact(run.events);
-      out += ", \"sim_sec\": " + fmt_exact(run.sim_sec);
-      out += ", \"wall_sec\": " + fmt(run.wall_sec);
-      out += ", \"events_per_sec\": " + fmt(run.events_per_sec);
-      out += ++r < c.runs.size() ? "}, " : "}";
-    }
-    out += "}";
-    out += ++i < summary.cases.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
-GateResult gate_parallel(const ParallelSummary& current,
-                         const ParallelSummary* baseline,
-                         const GateOptions& options) {
-  GateResult result;
-  auto fail = [&result](std::string message) {
-    result.pass = false;
-    result.failures.push_back(std::move(message));
-  };
-
-  for (const auto& [name, c] : current.cases) {
-    const ParallelRun& reference = c.runs.at("w1");
-    const ParallelRun* widest = &reference;
-    for (const auto& [run_name, run] : c.runs) {
-      (void)run_name;
-      if (run.workers > widest->workers) {
-        widest = &run;
-      }
-      // Bit-identity: the schedule is a function of the scenario, never of
-      // the worker count. Exact — any drift is a determinism bug, not noise.
-      if (run.events != reference.events) {
-        fail(name + "." + run_name + ": events " + fmt_exact(run.events) +
-             " != w1 events " + fmt_exact(reference.events) +
-             " — the partitioned schedule depends on the worker count");
-      }
-      if (run.sim_sec != reference.sim_sec) {
-        fail(name + "." + run_name + ": sim_sec " + fmt_exact(run.sim_sec) +
-             " != w1 sim_sec " + fmt_exact(reference.sim_sec) +
-             " — the partitioned schedule depends on the worker count");
-      }
-    }
-    const double speedup = widest->wall_sec > 0.0
-                               ? reference.wall_sec / widest->wall_sec
-                               : 0.0;
-    result.notes.push_back(name + ": " + fmt(c.nodes) + " nodes, " + fmt(reference.events) +
-                           " events; w1 " + fmt(reference.wall_sec) + " s, w" +
-                           fmt(widest->workers) + " " + fmt(widest->wall_sec) + " s (" +
-                           fmt(speedup) + "x, host_cpus " + fmt(current.host_cpus) + ")");
-    // The speedup floor only means something where the hardware can deliver
-    // one; a 1-CPU container still gates bit-identity and trajectory above.
-    if (c.nodes >= 2000.0 && widest->workers > 1.0 &&
-        current.host_cpus >= widest->workers && speedup < options.parallel_min_speedup) {
-      fail(name + ": w" + fmt(widest->workers) + " speedup " + fmt(speedup) +
-           "x is below the " + fmt(options.parallel_min_speedup) + "x floor on a " +
-           fmt(current.host_cpus) + "-CPU host");
+      metrics[key] = number.number;
     }
   }
-
-  if (baseline == nullptr) {
-    return result;
-  }
-
-  check_case_sets(current.cases, baseline->cases, options, "parallel", result);
-
-  // Intersection + trajectory, anchored at the smallest common case — the
-  // same shape rule as gate_scale, applied to the w1 runs.
-  const std::string* anchor = nullptr;
-  double anchor_nodes = 0.0;
-  for (const auto& [name, base] : baseline->cases) {
-    (void)base;
-    const auto it = current.cases.find(name);
-    if (it != current.cases.end() &&
-        (anchor == nullptr || it->second.nodes < anchor_nodes)) {
-      anchor = &name;
-      anchor_nodes = it->second.nodes;
-    }
-  }
-  if (anchor == nullptr) {
-    fail("baseline and current run share no parallel cases");
-    return result;
-  }
-  const ParallelRun& cur_anchor = current.cases.at(*anchor).runs.at("w1");
-  const ParallelRun& base_anchor = baseline->cases.at(*anchor).runs.at("w1");
-
-  for (const auto& [name, base] : baseline->cases) {
-    const auto it = current.cases.find(name);
-    if (it == current.cases.end()) {
-      continue;  // already reported (or waived) by check_case_sets above
-    }
-    const ParallelCase& cur = it->second;
-    const double event_ceiling = base.runs.at("w1").events * (1.0 + options.tolerance);
-    const double event_floor = base.runs.at("w1").events * (1.0 - options.tolerance);
-    const double cur_events = cur.runs.at("w1").events;
-    if (cur_events > event_ceiling || cur_events < event_floor) {
-      fail(name + ": events " + fmt(cur_events) + " outside baseline " +
-           fmt(base.runs.at("w1").events) + " +/- " + fmt(options.tolerance * 100.0) + "%");
-    }
-    if (name != *anchor && cur_anchor.wall_sec > 0.0 && base_anchor.wall_sec > 0.0 &&
-        base.runs.at("w1").wall_sec > 0.0) {
-      const double cur_ratio = cur.runs.at("w1").wall_sec / cur_anchor.wall_sec;
-      const double base_ratio = base.runs.at("w1").wall_sec / base_anchor.wall_sec;
-      if (cur_ratio > base_ratio * (1.0 + options.tolerance)) {
-        fail(name + ": w1 wall-time ratio vs " + *anchor + " is " + fmt(cur_ratio) +
-             "x (baseline " + fmt(base_ratio) + "x + " + fmt(options.tolerance * 100.0) +
-             "% tolerance) — scaling shape regressed");
-      }
-    }
-  }
-  return result;
-}
-
-std::optional<CacheSummary> load_cache_summary(const JsonValue& doc, std::string* error) {
-  const JsonValue* schema = doc.find("schema");
-  const JsonValue* tool = doc.find("tool");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::Number ||
-      schema->number != 1.0 || tool == nullptr ||
-      tool->kind != JsonValue::Kind::String || tool->string != "cache_ablation") {
-    if (error != nullptr) {
-      *error = "not a cache_ablation schema-1 document";
-    }
-    return std::nullopt;
-  }
-  const JsonValue* cases = doc.find("cases");
-  if (cases == nullptr || cases->kind != JsonValue::Kind::Object || cases->object.empty()) {
-    if (error != nullptr) {
-      *error = "cache document has no 'cases' object";
-    }
-    return std::nullopt;
-  }
-  CacheSummary summary;
-  for (const auto& [name, value] : cases->object) {
-    if (value.kind != JsonValue::Kind::Object) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' is not an object";
-      }
-      return std::nullopt;
-    }
-    CacheCase c;
-    if (!read_case_field(value, "wss_kib", c.wss_kib, name, error) ||
-        !read_case_field(value, "nodes", c.nodes, name, error) ||
-        !read_case_field(value, "procs", c.procs, name, error)) {
-      return std::nullopt;
-    }
-    const JsonValue* policies = value.find("policies");
-    if (policies == nullptr || policies->kind != JsonValue::Kind::Object ||
-        policies->object.empty()) {
-      if (error != nullptr) {
-        *error = "case '" + name + "' has no 'policies' object";
-      }
-      return std::nullopt;
-    }
-    for (const auto& [policy_name, policy_value] : policies->object) {
-      const std::string key = name + "." + policy_name;
-      CachePolicyRun run;
-      if (!read_case_field(policy_value, "migrations", run.migrations, key, error) ||
-          !read_case_field(policy_value, "warmup_charged_ms", run.warmup_charged_ms, key,
-                           error) ||
-          !read_case_field(policy_value, "warmup_paid_ms", run.warmup_paid_ms, key,
-                           error) ||
-          !read_case_field(policy_value, "makespan_sec", run.makespan_sec, key, error)) {
-        return std::nullopt;
-      }
-      c.policies.emplace(policy_name, run);
-    }
-    summary.cases.emplace(name, std::move(c));
-  }
-  return summary;
-}
-
-std::string render_cache_summary(const CacheSummary& summary) {
-  // Every field is simulation-deterministic; counters render exactly so a
-  // one-migration drift survives the round-trip and fails the comparison.
-  std::string out = "{\n  \"schema\": 1,\n  \"tool\": \"cache_ablation\",\n  \"cases\": {\n";
-  std::size_t i = 0;
-  for (const auto& [name, c] : summary.cases) {
-    out += "    \"" + name + "\": {";
-    out += "\"wss_kib\": " + fmt_exact(c.wss_kib);
-    out += ", \"nodes\": " + fmt_exact(c.nodes);
-    out += ", \"procs\": " + fmt_exact(c.procs);
-    out += ", \"policies\": {";
-    std::size_t p = 0;
-    for (const auto& [policy_name, run] : c.policies) {
-      out += "\"" + policy_name + "\": {";
-      out += "\"migrations\": " + fmt_exact(run.migrations);
-      out += ", \"warmup_charged_ms\": " + fmt_exact(run.warmup_charged_ms);
-      out += ", \"warmup_paid_ms\": " + fmt_exact(run.warmup_paid_ms);
-      out += ", \"makespan_sec\": " + fmt_exact(run.makespan_sec);
-      out += ++p < c.policies.size() ? "}, " : "}";
-    }
-    out += "}";
-    out += ++i < summary.cases.size() ? "},\n" : "}\n";
-  }
-  out += "  }\n}\n";
-  return out;
-}
-
-GateResult gate_cache(const CacheSummary& current, const CacheSummary* baseline,
-                      const GateOptions& options) {
-  GateResult result;
-  auto fail = [&result](std::string message) {
-    result.pass = false;
-    result.failures.push_back(std::move(message));
-  };
-
-  constexpr const char* kPolicyNames[] = {"load", "eq3", "cache"};
-  double load_total_ms = 0.0;
-  double cache_total_ms = 0.0;
-  for (const auto& [name, c] : current.cases) {
-    bool complete = true;
-    for (const char* policy : kPolicyNames) {
-      if (c.policies.find(policy) == c.policies.end()) {
-        fail(name + ": policy '" + std::string(policy) +
-             "' missing — the ablation must run all three placements");
-        complete = false;
-      }
-    }
-    if (!complete) {
+  for (const Rule& rule : kRules) {
+    if (doc.tool != rule.tool) {
       continue;
     }
-    const CachePolicyRun& load_run = c.policies.at("load");
-    const CachePolicyRun& cache_run = c.policies.at("cache");
-    load_total_ms += load_run.warmup_charged_ms;
-    cache_total_ms += cache_run.warmup_charged_ms;
-    result.notes.push_back(name + ": wss " + fmt(c.wss_kib) + " KiB; warm-up charged " +
-                           fmt(load_run.warmup_charged_ms) + " ms (load) / " +
-                           fmt(c.policies.at("eq3").warmup_charged_ms) + " ms (eq3) / " +
-                           fmt(cache_run.warmup_charged_ms) + " ms (cache)");
-  }
-  // The acceptance bar: under contention, cache-aware placement must
-  // strictly reduce the total warm-up delay vs the load-greedy pick.
-  if (!current.cases.empty() && result.pass && cache_total_ms >= load_total_ms) {
-    fail("cache-aware total warm-up " + fmt(cache_total_ms) +
-         " ms is not strictly below the load policy's " + fmt(load_total_ms) +
-         " ms — the cost model is not steering placement");
-  }
-
-  if (baseline == nullptr) {
-    return result;
-  }
-
-  check_case_sets(current.cases, baseline->cases, options, "cache", result);
-
-  for (const auto& [name, base] : baseline->cases) {
-    const auto it = current.cases.find(name);
-    if (it == current.cases.end()) {
-      continue;  // already reported (or waived) by check_case_sets above
+    for (const auto& [name, metrics] : doc.cases) {
+      // Every member of a group-equal group is a rerun of its reference
+      // case; without that case the group cannot be read at all.
+      if (rule.check == Check::kGroupEqual && matches(rule.cases, name) &&
+          doc.cases.count(ref_case(name, rule)) == 0) {
+        return reject(error, "case '" + name + "' has no reference case '" +
+                                 ref_case(name, rule) + "'");
+      }
+      const bool is_ref = rule.ref != nullptr && split(name).member == rule.ref;
+      for (const std::string& key : metrics_read(rule)) {
+        if ((matches(rule.cases, name) || is_ref) && metrics.count(key) == 0) {
+          return reject(error, "case '" + name + "' is missing numeric metric '" + key + "'");
+        }
+      }
     }
-    const CacheCase& cur = it->second;
-    for (const auto& [policy_name, base_run] : base.policies) {
-      const auto run_it = cur.policies.find(policy_name);
-      if (run_it == cur.policies.end()) {
-        continue;  // the three-policy invariant above already failed this
-      }
-      const CachePolicyRun& cur_run = run_it->second;
-      const double migration_ceiling = base_run.migrations * (1.0 + options.tolerance);
-      if (cur_run.migrations > migration_ceiling) {
-        fail(name + "." + policy_name + ": migrations " + fmt(cur_run.migrations) +
-             " exceed baseline " + fmt(base_run.migrations) + " + " +
-             fmt(options.tolerance * 100.0) + "%");
-      }
-      const double charge_ceiling = base_run.warmup_charged_ms * (1.0 + options.tolerance);
-      if (cur_run.warmup_charged_ms > charge_ceiling) {
-        fail(name + "." + policy_name + ": warmup_charged_ms " +
-             fmt(cur_run.warmup_charged_ms) + " exceeds baseline " +
-             fmt(base_run.warmup_charged_ms) + " + " + fmt(options.tolerance * 100.0) +
-             "%");
-      }
+  }
+  return doc;
+}
+
+std::string render_doc(const Doc& doc) {
+  std::string out = "{\n  \"schema\": 2,\n  \"tool\": \"" + doc.tool + "\",\n";
+  out += "  \"host_cpus\": " + fmt(doc.host_cpus) + ",\n  \"cases\": {\n";
+  std::size_t i = 0;
+  for (const auto& [name, metrics] : doc.cases) {
+    out += "    \"" + name + "\": {";
+    std::size_t m = 0;
+    for (const auto& [key, v] : metrics) {
+      out += "\"" + key + "\": " + fmt(v) + (++m < metrics.size() ? ", " : "");
+    }
+    out += ++i < doc.cases.size() ? "},\n" : "}\n";
+  }
+  out += "  }\n}\n";
+  return out;
+}
+
+GateResult gate(const Doc& current, const Doc* baseline, const GateOptions& options) {
+  GateResult result;
+  for (const std::string& name : required_cases(current)) {
+    if (current.cases.count(name) == 0) {
+      fail(result, "case '" + name + "' is missing from this run — the " + current.tool +
+                       " rules check it");
+    }
+  }
+  if (baseline != nullptr) {
+    check_case_sets(current, *baseline, options, result);
+  }
+  for (const Rule& rule : kRules) {
+    const bool needs_baseline = rule.check == Check::kBand || rule.check == Check::kTrajectory;
+    if (current.tool == rule.tool && (baseline != nullptr || !needs_baseline)) {
+      apply(rule, current, baseline, result);
     }
   }
   return result;
