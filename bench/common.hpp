@@ -42,6 +42,8 @@
 #include <utility>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "driver/builder.hpp"
 #include "driver/experiment.hpp"
 #include "driver/runner.hpp"
@@ -316,6 +318,15 @@ inline GridOptions parse_grid_options(int argc, char** argv) {
     }
   }
   return opts;
+}
+
+// The process's peak resident set so far, in MiB (ru_maxrss is KiB on
+// Linux). The peak never falls, so a grid run in ascending size reports each
+// case's own footprint.
+inline double peak_rss_mb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
 class ResultDoc {

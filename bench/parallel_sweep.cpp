@@ -9,6 +9,8 @@
 //
 //   events / sim_sec      deterministic; identical for every worker count
 //   wall_sec per workers  host wall time of the same run on 1/2/4 threads
+//   peak_rss_mb           process peak RSS after the run (the grid ascends,
+//                         so it is this world's footprint; gated one-sided)
 //   host_cpus             recorded so the gate only enforces the speedup
 //                         floor where the hardware can deliver one (a
 //                         1-CPU CI container cannot)
@@ -25,6 +27,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "balancer/cluster_sim.hpp"
@@ -52,6 +55,7 @@ struct WorkerResult {
   double sim_sec;
   double wall_sec;
   double events_per_sec;
+  double peak_rss_mb;
 };
 
 struct CaseResult {
@@ -107,6 +111,7 @@ WorkerResult run_once(const CaseSpec& spec, std::size_t workers, std::uint64_t& 
   result.wall_sec = std::chrono::duration<double>(wall_end - wall_begin).count();
   result.events_per_sec =
       result.wall_sec > 0.0 ? static_cast<double>(result.events) / result.wall_sec : 0.0;
+  result.peak_rss_mb = bench::peak_rss_mb();
   return result;
 }
 
@@ -157,8 +162,14 @@ int main(int argc, char** argv) {
                                  : 0.0;
       std::cout << "  workers=" << run.workers << ": wall " << run.wall_sec << " s ("
                 << run.events_per_sec / 1e6 << " Mev/s, " << speedup
-                << "x vs workers=1)\n";
-      doc.add("n" + std::to_string(r.nodes) + "/w" + std::to_string(run.workers),
+                << "x vs workers=1), peak RSS " << run.peak_rss_mb << " MiB\n";
+      // Appended, not `"n" + std::to_string(...)`: g++ 12 -O3 reports a false
+      // -Wrestrict on that temporary operator+.
+      std::string name = "n";
+      name += std::to_string(r.nodes);
+      name += "/w";
+      name += std::to_string(run.workers);
+      doc.add(std::move(name),
               {{"nodes", r.nodes},
                {"zones", r.zones},
                {"procs", static_cast<double>(r.procs)},
@@ -166,7 +177,8 @@ int main(int argc, char** argv) {
                {"events", static_cast<double>(run.events)},
                {"sim_sec", run.sim_sec},
                {"wall_sec", run.wall_sec},
-               {"events_per_sec", run.events_per_sec}});
+               {"events_per_sec", run.events_per_sec},
+               {"peak_rss_mb", run.peak_rss_mb}});
     }
   }
   return doc.write(opts.json_path);

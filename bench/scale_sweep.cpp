@@ -10,6 +10,8 @@
 //                         (deterministic; the O(fan_out)-not-O(n) proof)
 //   wall_sec              host wall time (informational, machine-dependent)
 //   events_per_sec        events / wall_sec (informational)
+//   peak_rss_mb           process peak RSS after the case (the grid ascends,
+//                         so it is this case's footprint; gated one-sided)
 //
 // tools/perf_gate gates the --json output (one case per size, "n64") against
 // the committed BENCH_scale.json: the deterministic fields plus the
@@ -24,6 +26,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "balancer/cluster_sim.hpp"
@@ -52,6 +55,7 @@ struct CaseResult {
   double msgs_per_node_period;
   double wall_sec;
   double events_per_sec;
+  double peak_rss_mb;
 };
 
 constexpr std::uint32_t kFanOut = 3;
@@ -117,6 +121,7 @@ CaseResult run_case(const CaseSpec& spec) {
   result.wall_sec = std::chrono::duration<double>(wall_end - wall_begin).count();
   result.events_per_sec =
       result.wall_sec > 0.0 ? static_cast<double>(result.events) / result.wall_sec : 0.0;
+  result.peak_rss_mb = bench::peak_rss_mb();
   return result;
 }
 
@@ -139,8 +144,12 @@ int main(int argc, char** argv) {
     std::cout << "n" << r.nodes << ": " << r.procs << " procs, " << r.events
               << " events, sim " << r.sim_sec << " s, wall " << r.wall_sec << " s ("
               << r.events_per_sec / 1e6 << " Mev/s), " << r.msgs_per_node_period
-              << " msgs/node/period\n";
-    doc.add("n" + std::to_string(r.nodes),
+              << " msgs/node/period, peak RSS " << r.peak_rss_mb << " MiB\n";
+    // Appended, not `"n" + std::to_string(...)`: g++ 12 -O3 reports a false
+    // -Wrestrict on that temporary operator+.
+    std::string name = "n";
+    name += std::to_string(r.nodes);
+    doc.add(std::move(name),
             {{"nodes", r.nodes},
              {"zones", r.zones},
              {"fan_out", r.fan_out},
@@ -149,7 +158,8 @@ int main(int argc, char** argv) {
              {"sim_sec", r.sim_sec},
              {"msgs_per_node_period", r.msgs_per_node_period},
              {"wall_sec", r.wall_sec},
-             {"events_per_sec", r.events_per_sec}});
+             {"events_per_sec", r.events_per_sec},
+             {"peak_rss_mb", r.peak_rss_mb}});
   }
   return doc.write(opts.json_path);
 }

@@ -9,10 +9,18 @@ namespace ampom::proc {
 Executor::Executor(sim::Simulator& simulator, Process& process, NodeCosts costs)
     : sim_{simulator}, process_{process}, costs_{costs} {}
 
+namespace {
+
+// Simulated time per unit of nominal compute on a CPU of `speed` of which
+// the process gets `share`.
+double cpu_dilation(double speed, double share) {
+  return 1.0 / (speed * (share <= 0.0 ? 1e-3 : share));
+}
+
+}  // namespace
+
 sim::Time Executor::scale_cpu(sim::Time t) const {
-  const double share = cpu_share();
-  const double factor = costs_.cpu_speed * (share <= 0.0 ? 1e-3 : share);
-  return t.scaled(1.0 / factor);
+  return t.scaled(cpu_dilation(costs_.cpu_speed, cpu_share()));
 }
 
 void Executor::set_ram_limit_pages(std::uint64_t pages) {
@@ -162,6 +170,9 @@ void Executor::run_burst() {
   }
   mem::AddressSpace& aspace = process_.aspace();
   sim::Time acc = sim::Time::zero();
+  // No other event runs inside a burst, so the CPU share (and with it the
+  // dilation) cannot change until the loop yields: compute it once.
+  const double dilation = cpu_dilation(costs_.cpu_speed, cpu_share());
 
   for (;;) {
     if (!pending_) {
@@ -174,7 +185,7 @@ void Executor::run_burst() {
     }
     const Ref ref = *pending_;
     if (!pending_cpu_counted_) {
-      const sim::Time cpu = scale_cpu(ref.cpu);
+      const sim::Time cpu = ref.cpu.scaled(dilation);
       acc += cpu;
       stats_.cpu_time += cpu;
       pending_cpu_counted_ = true;
@@ -185,7 +196,7 @@ void Executor::run_burst() {
         begin_syscall(acc);
         return;
       }
-      const sim::Time service = scale_cpu(costs_.syscall_service);
+      const sim::Time service = costs_.syscall_service.scaled(dilation);
       acc += service;
       stats_.handler_time += service;
       ++stats_.syscalls_local;
@@ -199,7 +210,7 @@ void Executor::run_burst() {
         }
         case mem::AccessKind::FirstTouch: {
           acc += maybe_evict_for(ref.page);
-          const sim::Time minor = scale_cpu(costs_.minor_fault);
+          const sim::Time minor = costs_.minor_fault.scaled(dilation);
           acc += minor;
           stats_.handler_time += minor;
           aspace.create_on_touch(ref.page);
@@ -209,7 +220,7 @@ void Executor::run_burst() {
         }
         case mem::AccessKind::SwapFault: {
           acc += maybe_evict_for(ref.page);
-          const sim::Time swap = scale_cpu(costs_.swap_in);
+          const sim::Time swap = costs_.swap_in.scaled(dilation);
           acc += swap;
           stats_.handler_time += swap;
           aspace.load_from_swap(ref.page);

@@ -1,9 +1,13 @@
 #pragma once
 // Base class for workload generators: kernels append batches of references
 // into a small buffer (refill()), next() drains it. Keeps each kernel a
-// simple resumable state machine.
+// simple resumable state machine, so the sequence a stream emits never
+// depends on how many references one refill appends. The buffer is a vector
+// read through a head index and cleared (capacity kept) when drained: a
+// stream in steady state makes no allocator calls.
 
-#include <deque>
+#include <cstdint>
+#include <vector>
 
 #include "mem/region.hpp"
 #include "proc/reference_stream.hpp"
@@ -16,22 +20,26 @@ class BufferedStream : public proc::ReferenceStream {
       : layout_{mem::RegionLayout::for_total_bytes(memory_bytes)}, memory_bytes_{memory_bytes} {}
 
   [[nodiscard]] std::optional<proc::Ref> next() final {
-    if (buffer_.empty()) {
+    if (head_ == buffer_.size()) {
+      buffer_.clear();
+      head_ = 0;
       refill();
+      if (buffer_.empty()) {
+        return std::nullopt;
+      }
     }
-    if (buffer_.empty()) {
-      return std::nullopt;
-    }
-    const proc::Ref ref = buffer_.front();
-    buffer_.pop_front();
     count_emit();
-    return ref;
+    return buffer_[head_++];
   }
 
   [[nodiscard]] sim::Bytes memory_bytes() const final { return memory_bytes_; }
   [[nodiscard]] const mem::RegionLayout& layout() const { return layout_; }
 
  protected:
+  // References a streaming refill() appends per call; small, so each
+  // process's buffer stays a few hundred bytes.
+  static constexpr std::uint64_t kRefillBatch = 16;
+
   // Append more references; leaving the buffer empty ends the stream.
   virtual void refill() = 0;
 
@@ -69,7 +77,8 @@ class BufferedStream : public proc::ReferenceStream {
   static constexpr std::uint64_t kAuxPeriod = 1024;
   mem::RegionLayout layout_;
   sim::Bytes memory_bytes_;
-  std::deque<proc::Ref> buffer_;
+  std::vector<proc::Ref> buffer_;
+  std::size_t head_{0};
   std::uint64_t since_aux_{0};
   std::uint64_t aux_round_{0};
 };

@@ -40,9 +40,8 @@ void Dgemm::emit_block(mem::PageId base, std::uint64_t row, std::uint64_t col) {
 
 void Dgemm::refill() {
   if (phase_ == Phase::Init) {
-    constexpr std::uint64_t kBatch = 2048;
     const std::uint64_t total = matrix_pages_ * 3;
-    const std::uint64_t end = std::min(init_pos_ + kBatch, total);
+    const std::uint64_t end = std::min(init_pos_ + kRefillBatch, total);
     for (; init_pos_ < end; ++init_pos_) {
       emit(a_ + init_pos_, config_.cpu_init);
     }

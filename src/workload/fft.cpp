@@ -15,11 +15,9 @@ Fft::Fft(FftConfig config) : BufferedStream{config.memory}, config_{config}, rng
 }
 
 void Fft::refill() {
-  constexpr std::uint64_t kBatch = 2048;
-
   switch (phase_) {
     case Phase::Init: {
-      const std::uint64_t end = std::min(init_pos_ + kBatch, vector_pages_);
+      const std::uint64_t end = std::min(init_pos_ + kRefillBatch, vector_pages_);
       for (; init_pos_ < end; ++init_pos_) {
         emit(heap_begin() + init_pos_, config_.cpu_init);
       }
@@ -30,7 +28,7 @@ void Fft::refill() {
     }
     case Phase::BitReversal: {
       // Sequential cursor paired with a pseudo-random partner page.
-      const std::uint64_t end = std::min(rev_pos_ + kBatch / 2, vector_pages_);
+      const std::uint64_t end = std::min(rev_pos_ + kRefillBatch / 2, vector_pages_);
       for (; rev_pos_ < end; ++rev_pos_) {
         emit(heap_begin() + rev_pos_, config_.cpu_per_ref);
         emit(heap_begin() + rng_.uniform(vector_pages_), config_.cpu_per_ref);
@@ -44,7 +42,7 @@ void Fft::refill() {
       // Stage k: butterflies pair page i with page i + span.
       const std::uint64_t span = std::max<std::uint64_t>(1, vector_pages_ >> (stage_ + 1));
       const std::uint64_t pairs = vector_pages_ - span;
-      const std::uint64_t end = std::min(stage_pos_ + kBatch / 2, pairs);
+      const std::uint64_t end = std::min(stage_pos_ + kRefillBatch / 2, pairs);
       for (; stage_pos_ < end; ++stage_pos_) {
         emit(heap_begin() + stage_pos_, config_.cpu_per_ref);
         emit(heap_begin() + stage_pos_ + span, config_.cpu_per_ref);

@@ -25,9 +25,8 @@ void Hpl::emit_block(std::uint64_t row, std::uint64_t col, sim::Time cpu) {
 void Hpl::refill() {
   switch (phase_) {
     case Phase::Init: {
-      constexpr std::uint64_t kBatch = 2048;
       const std::uint64_t total = grid_ * grid_ * block_pages_;
-      const std::uint64_t end = std::min(init_pos_ + kBatch, total);
+      const std::uint64_t end = std::min(init_pos_ + kRefillBatch, total);
       for (; init_pos_ < end; ++init_pos_) {
         emit(heap_begin() + init_pos_, config_.cpu_init);
       }

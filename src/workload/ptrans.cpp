@@ -21,9 +21,8 @@ Ptrans::Ptrans(PtransConfig config) : BufferedStream{config.memory}, config_{con
 void Ptrans::refill() {
   switch (phase_) {
     case Phase::Init: {
-      constexpr std::uint64_t kBatch = 2048;
       const std::uint64_t total = matrix_pages_ * 2;
-      const std::uint64_t end = std::min(init_pos_ + kBatch, total);
+      const std::uint64_t end = std::min(init_pos_ + kRefillBatch, total);
       for (; init_pos_ < end; ++init_pos_) {
         emit(a_ + init_pos_, config_.cpu_init);
       }

@@ -12,11 +12,9 @@ RandomAccess::RandomAccess(RandomAccessConfig config)
 }
 
 void RandomAccess::refill() {
-  constexpr std::uint64_t kBatch = 2048;
-
   switch (phase_) {
     case Phase::Updates: {
-      const std::uint64_t end = std::min(done_updates_ + kBatch, total_updates_);
+      const std::uint64_t end = std::min(done_updates_ + kRefillBatch, total_updates_);
       for (; done_updates_ < end; ++done_updates_) {
         emit(heap_begin() + rng_.uniform(table_pages_), config_.cpu_per_update);
         if (config_.seq_interval != 0 && done_updates_ % config_.seq_interval == 0) {
@@ -30,7 +28,7 @@ void RandomAccess::refill() {
       return;
     }
     case Phase::Verify: {
-      const std::uint64_t end = std::min(verify_pos_ + kBatch, table_pages_);
+      const std::uint64_t end = std::min(verify_pos_ + kRefillBatch, table_pages_);
       for (; verify_pos_ < end; ++verify_pos_) {
         emit(heap_begin() + verify_pos_, config_.cpu_verify);
       }

@@ -11,12 +11,10 @@ StreamTriad::StreamTriad(StreamTriadConfig config)
 }
 
 void StreamTriad::refill() {
-  constexpr std::uint64_t kBatch = 2048;
-
   if (phase_ == Phase::Init) {
     // Sequential value-initialization of a, b, c (one linear sweep).
     const std::uint64_t total = array_pages_ * 3;
-    const std::uint64_t end = std::min(init_pos_ + kBatch, total);
+    const std::uint64_t end = std::min(init_pos_ + kRefillBatch, total);
     for (; init_pos_ < end; ++init_pos_) {
       emit(a_ + init_pos_, config_.cpu_init);
     }
@@ -29,7 +27,7 @@ void StreamTriad::refill() {
     return;
   }
 
-  const std::uint64_t end = std::min(pos_ + kBatch, array_pages_);
+  const std::uint64_t end = std::min(pos_ + kRefillBatch, array_pages_);
   for (std::uint64_t i = pos_; i < end; ++i) {
     switch (sub_) {
       case 0:  // COPY: c = a

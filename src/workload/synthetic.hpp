@@ -2,8 +2,9 @@
 // Synthetic reference streams with controlled locality — used by unit,
 // property and ablation tests to isolate algorithm behaviour.
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <stdexcept>
 
 #include "simcore/rng.hpp"
 #include "workload/buffered_stream.hpp"
@@ -23,8 +24,7 @@ class SequentialStream final : public BufferedStream {
     if (pass_ >= passes_) {
       return;
     }
-    constexpr std::uint64_t kBatch = 2048;
-    const std::uint64_t end = std::min(pos_ + kBatch, heap_pages());
+    const std::uint64_t end = std::min(pos_ + kRefillBatch, heap_pages());
     for (; pos_ < end; ++pos_) {
       emit(heap_begin() + pos_, cpu_);
     }
@@ -52,8 +52,7 @@ class UniformRandomStream final : public BufferedStream {
 
  protected:
   void refill() override {
-    constexpr std::uint64_t kBatch = 2048;
-    const std::uint64_t end = std::min(done_ + kBatch, touches_);
+    const std::uint64_t end = std::min(done_ + kRefillBatch, touches_);
     for (; done_ < end; ++done_) {
       emit(heap_begin() + rng_.uniform(heap_pages()), cpu_);
     }
@@ -82,8 +81,9 @@ class InterleavedStream final : public BufferedStream {
     if (pos_ >= slice_) {
       return;
     }
-    constexpr std::uint64_t kBatch = 2048;
-    const std::uint64_t end = std::min(pos_ + kBatch / cursors_, slice_);
+    // At least one full round per refill, however many cursors there are.
+    const std::uint64_t rounds = std::max<std::uint64_t>(1, kRefillBatch / cursors_);
+    const std::uint64_t end = std::min(pos_ + rounds, slice_);
     for (; pos_ < end; ++pos_) {
       for (std::uint64_t k = 0; k < cursors_; ++k) {
         emit(heap_begin() + k * slice_ + pos_, cpu_);
@@ -99,7 +99,9 @@ class InterleavedStream final : public BufferedStream {
 };
 
 // Repeatedly touches a small hot set (temporal locality), with occasional
-// excursions to cold pages.
+// excursions to cold pages. The hot set is the first `hot_pages` heap pages;
+// throws std::invalid_argument unless 0 < hot_pages <= heap pages (with room
+// left for cold pages when cold_fraction > 0) and cold_fraction is in [0, 1].
 class HotColdStream final : public BufferedStream {
  public:
   HotColdStream(sim::Bytes memory, std::uint64_t hot_pages, std::uint64_t touches,
@@ -110,14 +112,23 @@ class HotColdStream final : public BufferedStream {
         touches_{touches},
         cold_fraction_{cold_fraction},
         cpu_{cpu_per_ref},
-        rng_{seed} {}
+        rng_{seed} {
+    if (!(cold_fraction >= 0.0 && cold_fraction <= 1.0)) {
+      throw std::invalid_argument("HotColdStream: cold_fraction must be in [0, 1]");
+    }
+    if (hot_pages == 0 || hot_pages > heap_pages()) {
+      throw std::invalid_argument("HotColdStream: hot_pages must be in [1, heap pages]");
+    }
+    if (hot_pages == heap_pages() && cold_fraction > 0.0) {
+      throw std::invalid_argument("HotColdStream: no cold pages left for cold_fraction > 0");
+    }
+  }
 
   [[nodiscard]] const char* name() const override { return "hotcold"; }
 
  protected:
   void refill() override {
-    constexpr std::uint64_t kBatch = 2048;
-    const std::uint64_t end = std::min(done_ + kBatch, touches_);
+    const std::uint64_t end = std::min(done_ + kRefillBatch, touches_);
     for (; done_ < end; ++done_) {
       if (rng_.uniform_real() < cold_fraction_) {
         emit(heap_begin() + hot_pages_ + rng_.uniform(heap_pages() - hot_pages_), cpu_);

@@ -97,7 +97,8 @@ TEST(PerfGateJson, RendersDeterministicValuesAtRoundTripPrecision) {
                             {"workers", 1},
                             {"events", events},
                             {"sim_sec", sim_sec},
-                            {"wall_sec", 1.0}});
+                            {"wall_sec", 1.0},
+                            {"peak_rss_mb", 900.5}});
   const Doc from_bench = load_ok(written.render());
   EXPECT_EQ(from_bench.cases.at("n10000/w1").at("events"), events);
   EXPECT_EQ(from_bench.cases.at("n10000/w1").at("sim_sec"), sim_sec);
@@ -252,7 +253,8 @@ Metrics scale_case(double nodes, double msgs, double events, double wall) {
           {"fan_out", 3.0},       {"procs", nodes * 10.0},
           {"events", events},     {"sim_sec", 10.0},
           {"msgs_per_node_period", msgs}, {"wall_sec", wall},
-          {"events_per_sec", wall > 0.0 ? events / wall : 0.0}};
+          {"events_per_sec", wall > 0.0 ? events / wall : 0.0},
+          {"peak_rss_mb", nodes / 10.0}};
 }
 
 Doc healthy_scale() {
@@ -363,6 +365,19 @@ TEST(PerfGateScale, WallTimeTrajectoryRegressionFails) {
   EXPECT_TRUE(has_failure(result, {"n1024", "relative to n64", "scaling shape regressed"}));
 }
 
+TEST(PerfGateScale, PeakRssGrowthPastBaselineFails) {
+  const Doc baseline = healthy_scale();
+  Doc current = healthy_scale();
+  current.cases.at("n64").at("peak_rss_mb") *= 0.25;  // shrinking is never a failure
+  current.cases.at("n1024").at("peak_rss_mb") *= 1.25;
+  EXPECT_TRUE(gate(current, &baseline, GateOptions{}).pass);
+  current.cases.at("n1024").at("peak_rss_mb") *= 1.1;  // 1.375x the baseline
+  const GateResult result = gate(current, &baseline, GateOptions{});
+  EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(has_failure(result, {"n1024", "peak_rss_mb", "peak memory grew"}));
+  EXPECT_EQ(result.failures.size(), 1u) << first_failure(result);
+}
+
 TEST(PerfGateScale, RejectsNonScaleDocuments) {
   EXPECT_NE(load_error(R"({"schema": 2, "tool": "scale_sweep", "host_cpus": 1, "cases": {}})")
                 .find("cases"),
@@ -389,7 +404,8 @@ Metrics parallel_run(double nodes, double workers, double events, double wall) {
   return {{"nodes", nodes},   {"zones", nodes / 100.0},
           {"procs", nodes * 10.0}, {"workers", workers},
           {"events", events}, {"sim_sec", 10.0},
-          {"wall_sec", wall}, {"events_per_sec", wall > 0.0 ? events / wall : 0.0}};
+          {"wall_sec", wall}, {"events_per_sec", wall > 0.0 ? events / wall : 0.0},
+          {"peak_rss_mb", nodes / 10.0 + workers}};
 }
 
 // An 8-CPU recording: the big case clears the 2x floor, the small one is
@@ -490,6 +506,16 @@ TEST(PerfGateParallel, WallTimeTrajectoryRegressionFails) {
   const GateResult result = gate(current, &baseline, GateOptions{});
   EXPECT_FALSE(result.pass);
   EXPECT_TRUE(has_failure(result, {"n2000/w1", "scaling shape regressed"}));
+}
+
+TEST(PerfGateParallel, PeakRssGrowthPastBaselineFails) {
+  const Doc baseline = healthy_parallel();
+  Doc current = healthy_parallel();
+  current.cases.at("n2000/w4").at("peak_rss_mb") *= 1.5;
+  const GateResult result = gate(current, &baseline, GateOptions{});
+  EXPECT_FALSE(result.pass);
+  EXPECT_TRUE(has_failure(result, {"n2000/w4", "peak_rss_mb", "peak memory grew"}));
+  EXPECT_EQ(result.failures.size(), 1u) << first_failure(result);
 }
 
 TEST(PerfGateParallel, RejectsNonParallelAndIncompleteDocuments) {

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
+#include <vector>
 
 #include "core/locality.hpp"
 #include "workload/dgemm.hpp"
@@ -335,6 +340,61 @@ TEST(Synthetic, InterleavedProducesStridePatterns) {
   EXPECT_GT(counts[2], 10u);  // stride-3 links from 3 interleaved cursors
 }
 
+// Heap references a drained stream emitted.
+std::uint64_t heap_refs(BufferedStream& stream) {
+  std::uint64_t n = 0;
+  while (const auto ref = stream.next()) {
+    if (stream.layout().region_of(ref->page) == mem::Region::Heap) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(Synthetic, InterleavedEmitsEverySliceWithMoreCursorsThanTheBatch) {
+  for (const std::uint64_t cursors : {std::uint64_t{32}, std::uint64_t{4096}}) {
+    SCOPED_TRACE(cursors);
+    InterleavedStream stream{64 * sim::kMiB, cursors, sim::Time::from_us(1)};
+    const std::uint64_t slice = stream.layout().pages(mem::Region::Heap) / cursors;
+    ASSERT_GT(slice, 0u);
+    EXPECT_EQ(heap_refs(stream), slice * cursors);
+  }
+}
+
+std::uint64_t heap_pages_of(sim::Bytes memory) {
+  return mem::RegionLayout::for_total_bytes(memory).pages(mem::Region::Heap);
+}
+
+TEST(Synthetic, HotColdRejectsAnEmptyHotSet) {
+  EXPECT_THROW((HotColdStream{sim::kMiB, 0, 100, 0.1, sim::Time::from_us(1)}),
+               std::invalid_argument);
+}
+
+TEST(Synthetic, HotColdRejectsAHotSetLargerThanTheHeap) {
+  const std::uint64_t heap = heap_pages_of(sim::kMiB);
+  EXPECT_THROW((HotColdStream{sim::kMiB, heap + 1, 100, 0.0, sim::Time::from_us(1)}),
+               std::invalid_argument);
+}
+
+TEST(Synthetic, HotColdRejectsColdExcursionsWithNoColdPages) {
+  const std::uint64_t heap = heap_pages_of(sim::kMiB);
+  EXPECT_THROW((HotColdStream{sim::kMiB, heap, 100, 0.1, sim::Time::from_us(1)}),
+               std::invalid_argument);
+  // With no cold excursions the whole heap may be hot.
+  HotColdStream all_hot{sim::kMiB, heap, 100, 0.0, sim::Time::from_us(1)};
+  EXPECT_EQ(heap_refs(all_hot), 100u);
+}
+
+TEST(Synthetic, HotColdRejectsAColdFractionOutsideTheUnitInterval) {
+  for (const double cold : {-0.1, 1.5, std::nan("")}) {
+    SCOPED_TRACE(cold);
+    EXPECT_THROW((HotColdStream{sim::kMiB, 16, 100, cold, sim::Time::from_us(1)}),
+                 std::invalid_argument);
+  }
+  HotColdStream all_cold{sim::kMiB, 16, 100, 1.0, sim::Time::from_us(1)};
+  EXPECT_EQ(heap_refs(all_cold), 100u);
+}
+
 TEST(Synthetic, HotColdMostlyHitsHotSet) {
   HotColdStream stream{8 * sim::kMiB, /*hot=*/16, /*touches=*/10000, /*cold=*/0.1,
                        sim::Time::from_us(1)};
@@ -368,6 +428,91 @@ TEST(Synthetic, AuxTouchesHitCodeAndStack) {
   }
   EXPECT_TRUE(saw_code);
   EXPECT_TRUE(saw_stack);
+}
+
+// --- golden sequences ---------------------------------------------------------
+
+// A drained stream's reference count and FNV-1a hash over every
+// (page, cpu ns, kind): two streams with equal fingerprints emitted the
+// same sequence.
+struct Fingerprint {
+  std::uint64_t count{0};
+  std::uint64_t hash{0xCBF29CE484222325ULL};
+};
+
+Fingerprint fingerprint(proc::ReferenceStream& stream) {
+  Fingerprint f;
+  const auto mix = [&f](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      f.hash ^= (v >> (8 * byte)) & 0xFF;
+      f.hash *= 0x100000001B3ULL;
+    }
+  };
+  while (const auto ref = stream.next()) {
+    ++f.count;
+    mix(ref->page);
+    mix(static_cast<std::uint64_t>(ref->cpu.ns()));
+    mix(static_cast<std::uint64_t>(ref->kind));
+  }
+  return f;
+}
+
+struct Golden {
+  const char* name;
+  std::function<std::unique_ptr<proc::ReferenceStream>()> make;
+  Fingerprint expected;
+};
+
+// Pinned on the generators as they were when each refilled 2,048 references
+// at a time: the sequences must not depend on the refill batch, so a change
+// of buffering may never move one of these numbers.
+TEST(Golden, EveryGeneratorEmitsItsPinnedSequence) {
+  const sim::Time us = sim::Time::from_us(1);
+  const std::vector<Golden> cases = {
+      {"sequential", [us] { return std::make_unique<SequentialStream>(16 * sim::kMiB, 2, us); },
+       {7784, 0x568E35364F739EEFULL}},
+      {"random",
+       [us] { return std::make_unique<UniformRandomStream>(16 * sim::kMiB, 9000, us); },
+       {9009, 0xCF45B2932D99F114ULL}},
+      {"interleaved",
+       [us] { return std::make_unique<InterleavedStream>(16 * sim::kMiB, 3, us); },
+       {3892, 0x9DFA5E18B54B0AF7ULL}},
+      {"hotcold",
+       [us] {
+         return std::make_unique<HotColdStream>(16 * sim::kMiB, 64, 9000, 0.1, us);
+       },
+       {9009, 0xDE3B1D657B4801B2ULL}},
+      {"interactive",
+       [us] { return std::make_unique<InteractiveStream>(4 * sim::kMiB, 40, 90, 3, us); },
+       {3724, 0x0067646FEEDF06DFULL}},
+      {"dgemm", [] { return make_hpcc_kernel(HpccKernel::Dgemm, 16, 7); }, {12974, 0xB25FA53C36E296E9ULL}},
+      {"stream", [] { return make_hpcc_kernel(HpccKernel::Stream, 16, 7); }, {55789, 0x5521A148F10E8081ULL}},
+      {"random_access", [] { return make_hpcc_kernel(HpccKernel::RandomAccess, 16, 7); },
+       {45410, 0x02ECFAA8ADA750BFULL}},
+      {"fft", [] { return make_hpcc_kernel(HpccKernel::Fft, 16, 7); }, {66202, 0x5B079BD66600EEFBULL}},
+      {"small_ws_dgemm", [] { return make_small_ws_dgemm(32, 12); }, {8201, 0x20B4525A7F502CE4ULL}},
+      {"hpl",
+       [] {
+         HplConfig cfg;
+         cfg.memory = 16 * sim::kMiB;
+         return std::make_unique<Hpl>(cfg);
+       },
+       {24002, 0x7327F5DA1B385CB3ULL}},
+      {"ptrans",
+       [] {
+         PtransConfig cfg;
+         cfg.memory = 16 * sim::kMiB;
+         return std::make_unique<Ptrans>(cfg);
+       },
+       {9636, 0x47CC081EC9F495AAULL}},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(g.name);
+    const auto stream = g.make();
+    const Fingerprint f = fingerprint(*stream);
+    EXPECT_EQ(f.count, g.expected.count);
+    EXPECT_EQ(f.hash, g.expected.hash);
+  }
 }
 
 }  // namespace

@@ -335,8 +335,10 @@ constexpr Rule kRules[] = {
      .why = "per-node traffic grew"},
     {.tool = "scale_sweep", .check = Check::kTrajectory, .cases = "*", .metric = "wall_sec",
      .bound = 1.0 + kTolerance, .by = "nodes", .why = "scaling shape regressed"},
+    {.tool = "scale_sweep", .check = Check::kBand, .cases = "*", .metric = "peak_rss_mb",
+     .bound = 1.0 + kTolerance, .why = "peak memory grew"},
     {.tool = "scale_sweep", .check = Check::kInfo, .cases = "*",
-     .metric = "nodes,procs,events,wall_sec,events_per_sec,msgs_per_node_period"},
+     .metric = "nodes,procs,events,wall_sec,events_per_sec,msgs_per_node_period,peak_rss_mb"},
 
     // bench/parallel_sweep: one world per size ("n2000"), run at each worker
     // count ("n2000/w4"); w1 is the reference.
@@ -353,8 +355,10 @@ constexpr Rule kRules[] = {
     {.tool = "parallel_sweep", .check = Check::kTrajectory, .cases = "*/w1",
      .metric = "wall_sec", .bound = 1.0 + kTolerance, .by = "nodes",
      .why = "scaling shape regressed"},
+    {.tool = "parallel_sweep", .check = Check::kBand, .cases = "*/*", .metric = "peak_rss_mb",
+     .bound = 1.0 + kTolerance, .why = "peak memory grew"},
     {.tool = "parallel_sweep", .check = Check::kInfo, .cases = "*/*",
-     .metric = "nodes,workers,events,sim_sec,wall_sec"},
+     .metric = "nodes,workers,events,sim_sec,wall_sec,peak_rss_mb"},
 
     // bench/cache_ablation: one contended world per migrant WSS, run under
     // each placement policy ("wss4096k/cache"). Every field is simulated,
