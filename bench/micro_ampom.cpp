@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "core/dependent_zone.hpp"
 #include "core/locality.hpp"
 #include "core/lookback_window.hpp"
@@ -97,27 +99,59 @@ void BM_SelectZone(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectZone)->Arg(8)->Arg(64)->Arg(256);
 
-// The full per-fault analysis pipeline, as the policy runs it.
+// Page of fault i when kCursors stride streams advance in lockstep, each
+// starting kCursorGap pages after the previous one: the streams' zones
+// overlap, so the §3.4 saved-quota rule decides most of the zone.
+constexpr std::uint64_t kCursors = 4;
+constexpr std::uint64_t kCursorGap = 10;
+mem::PageId interleaved_page(std::uint64_t i) {
+  return 5000 + (i % kCursors) * kCursorGap + (i / kCursors) % (1u << 16);
+}
+
+void BM_SelectZoneInterleaved(benchmark::State& state) {
+  core::LookbackWindow w{20};
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    w.record(interleaved_page(i), sim::Time::from_us(static_cast<std::int64_t>(i) + 1), 0.8);
+  }
+  core::LocalityAnalyzer analyzer{4};
+  const auto streams = analyzer.outstanding_streams(w);
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  std::vector<mem::PageId> zone;
+  for (auto _ : state) {
+    core::select_zone(w, streams, n, 1u << 20, zone);
+    benchmark::DoNotOptimize(zone.data());
+  }
+  state.counters["streams"] = static_cast<double>(streams.size());
+}
+BENCHMARK(BM_SelectZoneInterleaved)->Arg(64)->Arg(256);
+
+// The full per-fault analysis pipeline, as the policy runs it, on a
+// multi-stream window faulting fast enough that Eq. 3 reaches zone_cap.
 void BM_FullAnalysis(benchmark::State& state) {
   core::AmpomConfig cfg;
   core::LocalityAnalyzer analyzer{cfg.dmax};
   core::LookbackWindow w{cfg.lookback_length};
-  sim::Rng rng{7};
+  std::vector<core::StrideStream> streams;
+  std::vector<mem::PageId> zone;
   std::int64_t t = 0;
-  mem::PageId page = 5000;
+  std::uint64_t i = 0;
+  std::uint64_t zone_pages = 0;
   for (auto _ : state) {
-    w.record(++page, sim::Time::from_us(t += 300), 0.4);
+    w.record(interleaved_page(i++), sim::Time::from_us(++t), 0.4);
     core::ZoneInputs in;
-    in.locality_score = analyzer.score(w);
+    in.locality_score = analyzer.score_and_streams(w, streams);
     in.paging_rate_hz = w.paging_rate_hz();
     in.cpu_mean = w.mean_cpu();
     in.cpu_next = 1.0;
     in.rtt_one_way = sim::Time::from_us(100);
     in.page_transfer = sim::Time::from_us(360);
     const auto n = core::zone_size(in, cfg);
-    const auto streams = analyzer.outstanding_streams(w);
-    benchmark::DoNotOptimize(core::select_zone(w, streams, n, 1u << 20));
+    core::select_zone(w, streams, n, 1u << 22, zone);
+    benchmark::DoNotOptimize(zone.data());
+    zone_pages += zone.size();
   }
+  state.counters["zone_pages"] =
+      static_cast<double>(zone_pages) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_FullAnalysis);
 

@@ -70,7 +70,7 @@ void AmpomPolicy::on_fault(proc::Process& process, mem::PageId page, mem::Access
   executor_.charge_handler(analysis);
   stats_.analysis_time += analysis;
 
-  const double score = analyzer_.score(window);
+  const double score = analyzer_.score_and_streams(window, streams_);
   const ResourceEstimates res = resources_();
   ZoneInputs inputs;
   inputs.locality_score = score;
@@ -80,24 +80,19 @@ void AmpomPolicy::on_fault(proc::Process& process, mem::PageId page, mem::Access
   inputs.rtt_one_way = res.rtt_one_way;
   inputs.page_transfer = res.page_transfer;
   const std::uint64_t n = zone_size(inputs, config_);
-  const std::vector<StrideStream> streams = analyzer_.outstanding_streams(window);
   if (trace_) {
-    trace_(inputs, n, streams.size());
+    trace_(inputs, n, streams_.size());
   }
-  const std::vector<mem::PageId> zone =
-      select_zone(window, streams, n, aspace.page_count());
+  select_zone(window, streams_, n, aspace.page_count(), zone_);
   stats_.last_score = score;
   stats_.last_zone_size = n;
-  stats_.zone_pages_considered += zone.size();
+  stats_.zone_pages_considered += zone_.size();
 
-  // 6. Record the pages that are "not stored locally" in the request.
-  std::vector<mem::PageId> missing;
-  missing.reserve(zone.size());
-  for (const mem::PageId z : zone) {
-    if (z != page && aspace.state(z) == mem::PageState::Remote) {
-      missing.push_back(z);
-    }
-  }
+  // 6. Record the pages that are "not stored locally" in the request: from
+  //    here on zone_ holds only those.
+  std::erase_if(zone_, [&](mem::PageId z) {
+    return z == page || aspace.state(z) != mem::PageState::Remote;
+  });
 
   // 7. Resolve the faulted page itself.
   const mem::AccessKind now_kind =
@@ -105,25 +100,21 @@ void AmpomPolicy::on_fault(proc::Process& process, mem::PageId page, mem::Access
   switch (now_kind) {
     case mem::AccessKind::Hit: {
       // The faulted page was in the lookaside buffer and step 1 mapped it.
-      send_requests(std::move(missing), mem::kInvalidPage);
+      send_requests(mem::kInvalidPage);
       executor_.complete_fault(page);
       return;
     }
     case mem::AccessKind::HardFault: {
       blocked_page_ = page;
       aspace.mark_in_flight(page);
-      std::vector<mem::PageId> batch;
-      batch.reserve(missing.size() + 1);
-      batch.push_back(page);
-      batch.insert(batch.end(), missing.begin(), missing.end());
-      send_requests(std::move(batch), page);
+      send_requests(page);
       return;  // resumes when the urgent page arrives
     }
     case mem::AccessKind::InFlightWait: {
       // Already requested as a prefetch; wait for it, but still issue the
       // new prefetches the analysis found.
       blocked_page_ = page;
-      send_requests(std::move(missing), mem::kInvalidPage);
+      send_requests(mem::kInvalidPage);
       return;
     }
     default:
@@ -131,18 +122,23 @@ void AmpomPolicy::on_fault(proc::Process& process, mem::PageId page, mem::Access
   }
 }
 
-void AmpomPolicy::send_requests(std::vector<mem::PageId> pages, mem::PageId urgent) {
-  if (pages.empty()) {
+void AmpomPolicy::send_requests(mem::PageId urgent) {
+  const bool has_urgent = urgent != mem::kInvalidPage;
+  if (!has_urgent && zone_.empty()) {
     return;
   }
   mem::AddressSpace& aspace = executor_.process().aspace();
-  for (const mem::PageId p : pages) {
-    if (p == urgent) {
-      continue;  // already marked InFlight by the caller
-    }
+  for (const mem::PageId p : zone_) {
     aspace.mark_in_flight(p);
     ++stats_.prefetch_pages_issued;
   }
+  // The urgent page (already marked InFlight by the caller) leads the batch.
+  std::vector<mem::PageId> pages;
+  pages.reserve(zone_.size() + (has_urgent ? 1 : 0));
+  if (has_urgent) {
+    pages.push_back(urgent);
+  }
+  pages.insert(pages.end(), zone_.begin(), zone_.end());
 
   const sim::Time build = executor_.costs().request_build;
   if (config_.batch_requests) {

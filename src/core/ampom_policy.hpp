@@ -70,7 +70,9 @@ class AmpomPolicy final : public proc::FaultPolicy {
   void set_trace(TraceHook hook) { trace_ = std::move(hook); }
 
  private:
-  void send_requests(std::vector<mem::PageId> missing, mem::PageId urgent);
+  // Issues `urgent` (unless kInvalidPage) followed by the remote zone pages
+  // left in zone_ as one batch.
+  void send_requests(mem::PageId urgent);
   [[nodiscard]] LookbackWindow& partition_of(mem::PageId page);
 
   sim::Simulator& sim_;
@@ -87,6 +89,9 @@ class AmpomPolicy final : public proc::FaultPolicy {
   AmpomStats stats_;
   TraceHook trace_;
   mem::PageId blocked_page_{mem::kInvalidPage};
+  // Per-fault scratch, cleared on every fault with its capacity kept.
+  std::vector<StrideStream> streams_;
+  std::vector<mem::PageId> zone_;
 };
 
 }  // namespace ampom::core

@@ -36,8 +36,14 @@ struct ZoneInputs {
 // not yet measurable.
 [[nodiscard]] std::uint64_t zone_size(const ZoneInputs& in, const AmpomConfig& config);
 
-// Which pages form the zone. `total_pages` clips at the end of the address
-// space. The result preserves stream order and contains no duplicates.
+// Which pages form the zone, written to `zone` (its previous contents are
+// replaced; its capacity is kept). `total_pages` clips at the end of the
+// address space. The result preserves stream order and contains no
+// duplicates. At most LookbackWindow::kMaxCapacity streams, the most a
+// window can hold; more throw std::invalid_argument.
+void select_zone(const LookbackWindow& window, const std::vector<StrideStream>& streams,
+                 std::uint64_t zone_pages, std::uint64_t total_pages,
+                 std::vector<mem::PageId>& zone);
 [[nodiscard]] std::vector<mem::PageId> select_zone(const LookbackWindow& window,
                                                    const std::vector<StrideStream>& streams,
                                                    std::uint64_t zone_pages,

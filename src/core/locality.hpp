@@ -13,6 +13,7 @@
 // outstanding when e + d >= l (its continuation would still land inside the
 // window); its prefetch pivot is the page after the stream's end.
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -42,9 +43,27 @@ class LocalityAnalyzer {
   // de-duplicated by pivot.
   [[nodiscard]] std::vector<StrideStream> outstanding_streams(const LookbackWindow& w) const;
 
+  // score() and outstanding_streams() from a single sweep of the window:
+  // returns S and replaces the contents of `streams` (its capacity is kept).
+  // This is the per-fault path of Algorithm 1.
+  double score_and_streams(const LookbackWindow& w, std::vector<StrideStream>& streams) const;
+
  private:
-  // Minimum forward stride of position p, or 0 if none within dmax.
-  [[nodiscard]] std::size_t stride_of(const LookbackWindow& w, std::size_t p) const;
+  // Participation mask per stride d (bit p = window position p); a stride
+  // is at most l - 1 <= 63, so index d always fits.
+  using Masks = std::array<std::uint64_t, LookbackWindow::kMaxCapacity>;
+
+  // Minimum forward stride of position p among the first n pages, or 0 if
+  // none within dmax.
+  [[nodiscard]] std::size_t stride_of(const LookbackWindow::PageArray& pages, std::size_t n,
+                                      std::size_t p) const;
+  [[nodiscard]] Masks masks_of(const LookbackWindow& w) const;
+  [[nodiscard]] double score_of(const Masks& masks, std::size_t n) const;
+  // Appends the stride-d link ending at `end` if it is outstanding and its
+  // pivot is new.
+  static void add_if_outstanding(std::vector<StrideStream>& streams,
+                                 const LookbackWindow::PageArray& pages, std::size_t n,
+                                 std::size_t d, std::size_t end);
 
   std::size_t dmax_;
 };

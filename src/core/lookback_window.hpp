@@ -6,6 +6,8 @@
 // the same page are temporal locality and collapse into a single entry
 // (r_p != r_{p+1} for all p).
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <stdexcept>
 #include <vector>
@@ -23,8 +25,12 @@ class LookbackWindow {
     double cpu{0.0};
   };
 
+  // The stride analysis keeps one bit per window position in a 64-bit mask.
+  static constexpr std::size_t kMaxCapacity = 64;
+  using PageArray = std::array<mem::PageId, kMaxCapacity>;
+
   explicit LookbackWindow(std::size_t capacity) : ring_(capacity) {
-    if (capacity < 2 || capacity > 64) {
+    if (capacity < 2 || capacity > kMaxCapacity) {
       throw std::invalid_argument("LookbackWindow capacity must be in [2, 64]");
     }
   }
@@ -53,10 +59,21 @@ class LookbackWindow {
     if (i >= size_) {
       throw std::out_of_range("LookbackWindow::at");
     }
-    return ring_[(head_ + i) % ring_.size()];
+    return slot(i);
   }
 
   [[nodiscard]] mem::PageId page(std::size_t i) const { return at(i).page; }
+  // Copies the pages, oldest first, into out[0, size()).
+  void copy_pages(PageArray& out) const {
+    // The ring holds the window as [head_, end) followed by [0, wrap).
+    const std::size_t first = std::min(size_, ring_.size() - head_);
+    for (std::size_t i = 0; i < first; ++i) {
+      out[i] = ring_[head_ + i].page;
+    }
+    for (std::size_t i = first; i < size_; ++i) {
+      out[i] = ring_[i - first].page;
+    }
+  }
   [[nodiscard]] mem::PageId last_page() const { return at(size_ - 1).page; }
   [[nodiscard]] sim::Time first_time() const { return at(0).when; }
   [[nodiscard]] sim::Time last_time() const { return at(size_ - 1).when; }
@@ -65,7 +82,7 @@ class LookbackWindow {
   [[nodiscard]] double mean_cpu() const {
     double sum = 0.0;
     for (std::size_t i = 0; i < size_; ++i) {
-      sum += at(i).cpu;
+      sum += slot(i).cpu;
     }
     return size_ == 0 ? 0.0 : sum / static_cast<double>(size_);
   }
@@ -91,6 +108,10 @@ class LookbackWindow {
   }
 
  private:
+  [[nodiscard]] const Entry& slot(std::size_t i) const {
+    return ring_[(head_ + i) % ring_.size()];
+  }
+
   std::vector<Entry> ring_;
   std::size_t head_{0};
   std::size_t size_{0};

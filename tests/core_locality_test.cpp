@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "core/locality.hpp"
+#include "simcore/rng.hpp"
 
 namespace ampom::core {
 namespace {
@@ -162,6 +165,85 @@ TEST(Locality, PartiallyFilledWindowNormalizesByCurrentSize) {
   }
   LocalityAnalyzer analyzer{4};
   EXPECT_DOUBLE_EQ(analyzer.score(w), 1.0);  // 4/(4*1)
+}
+
+// The §3.2 stride of position p, read straight off the window.
+std::size_t reference_stride(const LookbackWindow& w, std::size_t p, std::size_t dmax) {
+  for (std::size_t d = 1; d <= dmax && p + d < w.size(); ++d) {
+    if (w.page(p + d) == w.page(p) + 1) {
+      return d;
+    }
+  }
+  return 0;
+}
+
+TEST(Locality, SinglePassMatchesTwoPassDefinitions) {
+  // score_and_streams() fuses score() and outstanding_streams() into one
+  // sweep over a copy of the window; on random windows (partly filled and
+  // wrapped rings, small page universes so strides and duplicate pivots are
+  // common) it must reproduce both, and S must be Eq. 1 over stride_counts().
+  sim::Rng rng{2024};
+  std::vector<StrideStream> streams;
+  for (int round = 0; round < 4000; ++round) {
+    const std::size_t capacity = 2 + rng.uniform(63);
+    const std::size_t dmax = 1 + rng.uniform(8);
+    LookbackWindow w{capacity};
+    const std::uint64_t universe = 2 + rng.uniform(3 * capacity);
+    const std::uint64_t records = rng.uniform(3 * capacity);
+    std::int64_t t = 0;
+    for (std::uint64_t i = 0; i < records; ++i) {
+      w.record(rng.uniform(universe), Time::from_us(++t), 1.0);
+    }
+    LookbackWindow::PageArray pages{};
+    w.copy_pages(pages);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      ASSERT_EQ(pages[i], w.page(i));
+    }
+
+    const LocalityAnalyzer analyzer{dmax};
+    const double s = analyzer.score_and_streams(w, streams);
+
+    const std::vector<std::uint64_t> counts = analyzer.stride_counts(w);
+    ASSERT_EQ(counts.size(), dmax);
+    std::vector<std::uint64_t> masks(dmax + 1, 0);
+    std::vector<StrideStream> expected_streams;
+    for (std::size_t p = 0; p + 1 < w.size(); ++p) {
+      const std::size_t d = reference_stride(w, p, dmax);
+      if (d == 0) {
+        continue;
+      }
+      masks[d] |= (std::uint64_t{1} << p) | (std::uint64_t{1} << (p + d));
+      const std::size_t end = p + d;
+      const mem::PageId pivot = w.page(end) + 1;
+      const bool seen = std::any_of(expected_streams.begin(), expected_streams.end(),
+                                    [pivot](const StrideStream& e) { return e.pivot == pivot; });
+      if (end + d >= w.size() && !seen) {
+        expected_streams.push_back(StrideStream{d, end, pivot});
+      }
+    }
+    double expected_s = 0.0;
+    for (std::size_t d = 1; d <= dmax; ++d) {
+      ASSERT_EQ(counts[d - 1], static_cast<std::uint64_t>(std::popcount(masks[d])));
+      if (w.size() >= 2) {
+        expected_s += static_cast<double>(counts[d - 1]) /
+                      (static_cast<double>(w.size()) * static_cast<double>(d));
+      }
+    }
+    expected_s = std::min(expected_s, 1.0);
+    ASSERT_EQ(s, expected_s) << "round " << round;
+    ASSERT_EQ(s, analyzer.score(w)) << "round " << round;
+
+    const std::vector<StrideStream> two_pass = analyzer.outstanding_streams(w);
+    ASSERT_EQ(streams.size(), expected_streams.size()) << "round " << round;
+    ASSERT_EQ(two_pass.size(), expected_streams.size()) << "round " << round;
+    const auto same = [](const StrideStream& a, const StrideStream& b) {
+      return a.d == b.d && a.end_index == b.end_index && a.pivot == b.pivot;
+    };
+    ASSERT_TRUE(std::equal(streams.begin(), streams.end(), expected_streams.begin(), same))
+        << "round " << round;
+    ASSERT_TRUE(std::equal(two_pass.begin(), two_pass.end(), expected_streams.begin(), same))
+        << "round " << round;
+  }
 }
 
 }  // namespace

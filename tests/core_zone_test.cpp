@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "core/dependent_zone.hpp"
+#include "simcore/rng.hpp"
 
 namespace ampom::core {
 namespace {
@@ -204,6 +205,87 @@ TEST(SelectZone, PaperPivotsProduceExpectedZone) {
   const std::vector<StrideStream> streams{{3, 7, 16}, {2, 8, 5}, {1, 9, 6}};
   const auto zone = select_zone(w, streams, 3, 1000);
   EXPECT_EQ(zone, (std::vector<mem::PageId>{16, 5, 6}));
+}
+
+// The hash-set walk select_zone used before it tracked chosen runs as
+// intervals; kept here as the oracle for the interval walk.
+std::vector<mem::PageId> hash_set_select_zone(const LookbackWindow& window,
+                                              const std::vector<StrideStream>& streams,
+                                              std::uint64_t zone_pages,
+                                              std::uint64_t total_pages) {
+  std::vector<mem::PageId> zone;
+  if (zone_pages == 0 || window.size() == 0 || total_pages == 0) {
+    return zone;
+  }
+  std::unordered_set<mem::PageId> chosen;
+  auto take_from = [&](mem::PageId start, std::uint64_t quota) {
+    mem::PageId page = start;
+    while (quota > 0 && page < total_pages) {
+      if (chosen.insert(page).second) {
+        zone.push_back(page);
+        --quota;
+      }
+      ++page;
+    }
+  };
+  if (streams.empty()) {
+    take_from(window.last_page() + 1, zone_pages);
+    return zone;
+  }
+  const auto m = static_cast<std::uint64_t>(streams.size());
+  const std::uint64_t base = zone_pages / m;
+  std::uint64_t remainder = zone_pages % m;
+  for (const StrideStream& stream : streams) {
+    std::uint64_t quota = base;
+    if (remainder > 0) {
+      ++quota;
+      --remainder;
+    }
+    if (quota > 0) {
+      take_from(stream.pivot, quota);
+    }
+  }
+  return zone;
+}
+
+TEST(SelectZone, MatchesHashSetReferenceOnRandomStreams) {
+  // Pivots cluster around a few centres, so runs overlap, touch and repeat;
+  // total_pages often cuts the walks short.
+  sim::Rng rng{14};
+  std::vector<mem::PageId> zone;
+  for (int round = 0; round < 10000; ++round) {
+    const std::uint64_t total_pages = 1 + rng.uniform(600);
+    const LookbackWindow w = make_window({rng.uniform(total_pages), rng.uniform(total_pages)});
+    std::vector<StrideStream> streams;
+    const std::uint64_t centres = 1 + rng.uniform(3);
+    const std::uint64_t count = rng.uniform(13);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const mem::PageId centre = (rng.uniform(centres) * total_pages) / centres;
+      streams.push_back(StrideStream{1, 0, centre + rng.uniform(48)});
+    }
+    const std::uint64_t zone_pages = rng.uniform(257);
+    select_zone(w, streams, zone_pages, total_pages, zone);
+    ASSERT_EQ(zone, hash_set_select_zone(w, streams, zone_pages, total_pages))
+        << "round " << round;
+  }
+}
+
+TEST(SelectZone, OutputBufferIsReplacedNotAppended) {
+  const LookbackWindow w = make_window({7, 9});
+  std::vector<mem::PageId> zone{1, 2, 3};
+  select_zone(w, {}, 2, 100, zone);
+  EXPECT_EQ(zone, (std::vector<mem::PageId>{10, 11}));
+  select_zone(w, {}, 0, 100, zone);
+  EXPECT_TRUE(zone.empty());
+}
+
+TEST(SelectZone, RejectsMoreStreamsThanAWindowHolds) {
+  const LookbackWindow w = make_window({1, 2});
+  const std::vector<StrideStream> streams(LookbackWindow::kMaxCapacity + 1, StrideStream{1, 0, 5});
+  EXPECT_THROW((void)select_zone(w, streams, 8, 100), std::invalid_argument);
+  const std::vector<StrideStream> most(LookbackWindow::kMaxCapacity, StrideStream{1, 0, 5});
+  EXPECT_EQ(select_zone(w, most, 8, 100),
+            (std::vector<mem::PageId>{5, 6, 7, 8, 9, 10, 11, 12}));
 }
 
 }  // namespace
