@@ -6,7 +6,9 @@
 // perf profiles — schedule-heavy, cancel-heavy (reliable-paging silence-
 // timer churn) and mixed — each run against BOTH the production indexed-heap
 // Simulator and a verbatim copy of the lazy-delete engine it replaced, so
-// every run measures the speedup on the machine it runs on. Each profile
+// every run measures the speedup on the machine it runs on. A fourth,
+// burst-cycle, replays the cluster burst loop over cold per-actor state
+// (the indexed engine with prefetch hints). Each profile
 // reports:
 //   events_per_sec   engine operations (schedule + cancel + fire) per second
 //   peak_queued      max entries physically queued (lazy-delete strands
@@ -19,6 +21,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -31,6 +34,7 @@
 
 #include "net/fabric.hpp"
 #include "proc/executor.hpp"
+#include "simcore/rng.hpp"
 #include "simcore/simulator.hpp"
 
 // ---------------------------------------------------------------------------
@@ -225,6 +229,76 @@ std::uint64_t drive_mixed(Engine& eng, Sink& sink, int bursts, int burst_size,
   return ops;
 }
 
+// The cluster burst loop in miniature: kActors actors, each with its own
+// heap-allocated state block of about 1.5 KB (together several times an L2
+// cache, as the per-process state of a 5,120-job cluster is). Each event
+// touches four lines of its actor's block and reschedules the actor at
+// now + U[4, 6] ms, the spread of cluster burst deadlines. An engine that
+// takes a prefetch hint gets those four lines with each event.
+template <class Engine>
+struct BurstCycle {
+  static constexpr std::uint32_t kActors = 5120;
+  static constexpr std::size_t kWords = 192;  // 1.5 KB
+  static constexpr std::array<std::size_t, 4> kTouched = {0, 48, 96, 144};
+  struct Actor {
+    std::array<std::uint64_t, kWords> state{};
+  };
+
+  Engine& eng;
+  std::vector<std::unique_ptr<Actor>> actors;
+  sim::Rng rng{0x9E3779B97F4A7C15ULL};
+  std::uint64_t fires_left{0};
+  std::uint64_t ops{0};
+
+  explicit BurstCycle(Engine& engine) : eng{engine} {
+    actors.reserve(kActors);
+    for (std::uint32_t a = 0; a < kActors; ++a) {
+      actors.push_back(std::make_unique<Actor>());
+    }
+  }
+  BurstCycle(const BurstCycle&) = delete;  // queued callbacks hold `this`
+  BurstCycle& operator=(const BurstCycle&) = delete;
+
+  // Start every actor, and fire until `fires` events have run (the actors
+  // still queued then fire once more without rescheduling).
+  void run(std::uint64_t fires) {
+    fires_left = fires;
+    for (std::uint32_t a = 0; a < kActors; ++a) {
+      schedule(a);
+    }
+    eng.run();
+  }
+
+  void fire(std::uint32_t a) {
+    ++ops;
+    std::uint64_t* s = actors[a]->state.data();
+    std::uint64_t acc = a;
+    for (const std::size_t w : kTouched) {
+      acc += s[w];
+      s[w] = acc;
+    }
+    if (fires_left > 0) {
+      --fires_left;
+      schedule(a);
+    }
+  }
+
+  void schedule(std::uint32_t a) {
+    ++ops;
+    const auto jitter_us = static_cast<std::int64_t>(rng.uniform(2001));
+    const Time at = eng.now() + Time::from_us(4000 + jitter_us);
+    auto cb = [this, a] { fire(a); };
+    if constexpr (requires { eng.schedule_at(at, std::move(cb), sim::PrefetchHint{}); }) {
+      const std::uint64_t* s = actors[a]->state.data();
+      eng.schedule_at(at, std::move(cb),
+                      sim::PrefetchHint{{s + kTouched[0], s + kTouched[1], s + kTouched[2],
+                                         s + kTouched[3]}});
+    } else {
+      eng.schedule_at(at, std::move(cb));
+    }
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Benchmark wrappers: warm each engine to steady state (vector growth out of
 // the way), then measure ops/sec and allocations over the hot phase.
@@ -326,6 +400,34 @@ void profile_mixed(benchmark::State& state) {
   report(state, total_ops, allocs, alloc_ops, peak);
 }
 
+template <class Engine>
+void profile_burst_cycle(benchmark::State& state) {
+  constexpr std::uint64_t kWarmFires = 4 * BurstCycle<Engine>::kActors;
+  constexpr std::uint64_t kFires = 1 << 19;
+  std::uint64_t total_ops = 0;
+  std::uint64_t allocs = 0;
+  std::uint64_t alloc_ops = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Engine eng;
+    BurstCycle<Engine> cycle{eng};
+    cycle.run(kWarmFires);
+    const std::uint64_t a0 = bench_alloc::count();
+    const std::uint64_t ops0 = cycle.ops;
+    state.ResumeTiming();
+    cycle.run(kFires);
+    state.PauseTiming();
+    allocs += bench_alloc::count() - a0;
+    alloc_ops += cycle.ops - ops0;
+    total_ops += cycle.ops - ops0;
+    benchmark::DoNotOptimize(cycle.actors.front()->state.data());
+    benchmark::ClobberMemory();
+    state.ResumeTiming();
+  }
+  // Every actor has exactly one event queued between its fires.
+  report(state, total_ops, allocs, alloc_ops, BurstCycle<Engine>::kActors);
+}
+
 void BM_ScheduleHeavy_Indexed(benchmark::State& state) {
   profile_schedule_heavy<sim::Simulator>(state);
 }
@@ -334,6 +436,10 @@ void BM_CancelHeavy_Indexed(benchmark::State& state) { profile_cancel_heavy<sim:
 void BM_CancelHeavy_Lazy(benchmark::State& state) { profile_cancel_heavy<LazyEngine>(state); }
 void BM_Mixed_Indexed(benchmark::State& state) { profile_mixed<sim::Simulator>(state); }
 void BM_Mixed_Lazy(benchmark::State& state) { profile_mixed<LazyEngine>(state); }
+void BM_BurstCycle_Indexed(benchmark::State& state) {
+  profile_burst_cycle<sim::Simulator>(state);
+}
+void BM_BurstCycle_Lazy(benchmark::State& state) { profile_burst_cycle<LazyEngine>(state); }
 
 BENCHMARK(BM_ScheduleHeavy_Indexed);
 BENCHMARK(BM_ScheduleHeavy_Lazy);
@@ -341,6 +447,8 @@ BENCHMARK(BM_CancelHeavy_Indexed);
 BENCHMARK(BM_CancelHeavy_Lazy);
 BENCHMARK(BM_Mixed_Indexed);
 BENCHMARK(BM_Mixed_Lazy);
+BENCHMARK(BM_BurstCycle_Indexed);
+BENCHMARK(BM_BurstCycle_Lazy);
 
 // ---------------------------------------------------------------------------
 // The original ad-hoc microbenches.

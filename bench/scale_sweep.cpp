@@ -10,6 +10,9 @@
 //                         (deterministic; the O(fan_out)-not-O(n) proof)
 //   wall_sec              host wall time (informational, machine-dependent)
 //   events_per_sec        events / wall_sec (informational)
+//   ns_per_event          wall_sec / events in ns: per-event host cost
+//                         against live-process count (informational; no
+//                         gate rule reads it)
 //   peak_rss_mb           process peak RSS after the case (the grid ascends,
 //                         so it is this case's footprint; gated one-sided)
 //
@@ -55,6 +58,7 @@ struct CaseResult {
   double msgs_per_node_period;
   double wall_sec;
   double events_per_sec;
+  double ns_per_event;
   double peak_rss_mb;
 };
 
@@ -121,6 +125,8 @@ CaseResult run_case(const CaseSpec& spec) {
   result.wall_sec = std::chrono::duration<double>(wall_end - wall_begin).count();
   result.events_per_sec =
       result.wall_sec > 0.0 ? static_cast<double>(result.events) / result.wall_sec : 0.0;
+  result.ns_per_event =
+      result.events > 0 ? result.wall_sec * 1e9 / static_cast<double>(result.events) : 0.0;
   result.peak_rss_mb = bench::peak_rss_mb();
   return result;
 }
@@ -143,7 +149,8 @@ int main(int argc, char** argv) {
     const CaseResult r = run_case(spec);
     std::cout << "n" << r.nodes << ": " << r.procs << " procs, " << r.events
               << " events, sim " << r.sim_sec << " s, wall " << r.wall_sec << " s ("
-              << r.events_per_sec / 1e6 << " Mev/s), " << r.msgs_per_node_period
+              << r.events_per_sec / 1e6 << " Mev/s, " << r.ns_per_event << " ns/event), "
+              << r.msgs_per_node_period
               << " msgs/node/period, peak RSS " << r.peak_rss_mb << " MiB\n";
     // Appended, not `"n" + std::to_string(...)`: g++ 12 -O3 reports a false
     // -Wrestrict on that temporary operator+.
@@ -159,6 +166,7 @@ int main(int argc, char** argv) {
              {"msgs_per_node_period", r.msgs_per_node_period},
              {"wall_sec", r.wall_sec},
              {"events_per_sec", r.events_per_sec},
+             {"ns_per_event", r.ns_per_event},
              {"peak_rss_mb", r.peak_rss_mb}});
   }
   return doc.write(opts.json_path);

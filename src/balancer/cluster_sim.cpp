@@ -35,8 +35,10 @@ ProcessHost::ProcessHost(ClusterSim& world, std::uint64_t pid, JobSpec spec)
     }
   });
   // Time-sharing: the process gets an equal share of whichever node it is on.
-  executor_.set_cpu_share_source([this] {
-    const auto sharers = world_.active_on(process_.current_node());
+  // Called once per burst: it captures what it reads, not `this`, so a burst
+  // touches no line of the host object.
+  executor_.set_cpu_share_source([world = &world_, process = &process_] {
+    const auto sharers = world->active_on(process->current_node());
     return 1.0 / static_cast<double>(std::max<std::uint64_t>(1, sharers));
   });
   executor_.set_max_burst(sim::Time::from_ms(5));  // responsive rebalancing

@@ -35,6 +35,8 @@ class AddressSpace {
 
   [[nodiscard]] PageState state(PageId page) const { return states_.at(page); }
   [[nodiscard]] bool dirty(PageId page) const { return dirty_.at(page); }
+  // Where `page`'s state lives, for prefetch hints (an address, not a read).
+  [[nodiscard]] const void* state_address(PageId page) const { return states_.data() + page; }
 
   // --- setup -------------------------------------------------------------
   // Materialize every page locally and mark it dirty: the paper migrates

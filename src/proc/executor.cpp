@@ -7,7 +7,7 @@
 namespace ampom::proc {
 
 Executor::Executor(sim::Simulator& simulator, Process& process, NodeCosts costs)
-    : sim_{simulator}, process_{process}, costs_{costs} {}
+    : process_{process}, sim_{simulator}, costs_{costs} {}
 
 namespace {
 
@@ -91,13 +91,23 @@ void Executor::schedule_burst(sim::Time delay) {
   // chain to the destination's partition after a migration commit (which
   // runs in the barrier context) instead of leaving it wherever the commit
   // happened to execute.
-  sim_.schedule_on_node(process_.current_node(), sim_.now() + delay,
-                        [this, gen = run_gen_] {
-                          if (gen != run_gen_) {
-                            return;
-                          }
-                          run_burst();
-                        });
+  //
+  // The hint names what the burst touches first: this executor's hot block,
+  // the process's, the stream object and the state byte of the heap page
+  // touched last (hot-set pages share its line).
+  const mem::PageId heap_page = process_.last_touched(mem::Region::Heap);
+  const sim::PrefetchHint hint{
+      {this, &process_, &process_.stream(),
+       heap_page == mem::kInvalidPage ? nullptr : process_.aspace().state_address(heap_page)}};
+  sim_.schedule_on_node(
+      process_.current_node(), sim_.now() + delay,
+      [this, gen = run_gen_] {
+        if (gen != run_gen_) {
+          return;
+        }
+        run_burst();
+      },
+      hint);
 }
 
 void Executor::finish(sim::Time at_delay) {
@@ -110,6 +120,7 @@ void Executor::finish(sim::Time at_delay) {
                           stats_.finished = true;
                           stats_.finished_at = sim_.now();
                           on_frozen_ = nullptr;  // a pending freeze request is moot now
+                          freeze_pending_ = false;
                           if (on_finished_) {
                             on_finished_();
                           }
@@ -117,12 +128,13 @@ void Executor::finish(sim::Time at_delay) {
 }
 
 bool Executor::take_freeze() {
-  if (!on_frozen_) {
+  if (!freeze_pending_) {
     return false;
   }
   process_.set_state(ProcState::Frozen);
   auto cb = std::move(on_frozen_);
   on_frozen_ = nullptr;
+  freeze_pending_ = false;
   cb();
   return true;
 }
@@ -131,10 +143,11 @@ void Executor::request_freeze(std::function<void()> on_frozen) {
   if (process_.state() == ProcState::Finished) {
     throw std::logic_error("Executor::request_freeze: process already finished");
   }
-  if (on_frozen_) {
+  if (freeze_pending_) {
     throw std::logic_error("Executor::request_freeze: freeze already pending");
   }
   on_frozen_ = std::move(on_frozen);
+  freeze_pending_ = on_frozen_ != nullptr;
 }
 
 void Executor::consume_pending(mem::PageId touched) {
@@ -145,7 +158,7 @@ void Executor::consume_pending(mem::PageId touched) {
       touch_observer_(touched);
     }
   }
-  pending_.reset();
+  has_pending_ = false;
   pending_cpu_counted_ = false;
   ++stats_.refs_consumed;
 }
@@ -175,15 +188,17 @@ void Executor::run_burst() {
   const double dilation = cpu_dilation(costs_.cpu_speed, cpu_share());
 
   for (;;) {
-    if (!pending_) {
-      pending_ = process_.stream().next();
-      pending_cpu_counted_ = false;
-      if (!pending_) {
+    if (!has_pending_) {
+      const std::optional<Ref> next = process_.stream().next();
+      if (!next) {
         finish(acc);
         return;
       }
+      pending_ = *next;
+      has_pending_ = true;
+      pending_cpu_counted_ = false;
     }
-    const Ref ref = *pending_;
+    const Ref ref = pending_;
     if (!pending_cpu_counted_) {
       const sim::Time cpu = ref.cpu.scaled(dilation);
       acc += cpu;
@@ -299,7 +314,7 @@ void Executor::charge_handler(sim::Time t) {
 }
 
 void Executor::complete_fault(mem::PageId page) {
-  if (process_.state() != ProcState::Blocked || !pending_ || pending_->page != page) {
+  if (process_.state() != ProcState::Blocked || !has_pending_ || pending_.page != page) {
     // Stale completion. A policy charge/arrival timer armed before a crash
     // interrupt outlives the run it belonged to — and recovery may already
     // have the process executing at home (even in the same instant, when
@@ -354,6 +369,7 @@ void Executor::crash_interrupt() {
     return;
   }
   on_frozen_ = nullptr;
+  freeze_pending_ = false;
   pending_charge_ = sim::Time::zero();
   process_.set_state(ProcState::Frozen);
   ++run_gen_;  // orphan every burst/finish event from the interrupted run

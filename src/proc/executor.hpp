@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <optional>
 #include <unordered_map>
 
 #include "proc/costs.hpp"
@@ -26,18 +25,21 @@
 namespace ampom::proc {
 
 struct ExecStats {
+  // Bumped per reference inside a burst: these lead, so they fill one cache
+  // line right behind the executor's hot block.
   std::uint64_t refs_consumed{0};
   std::uint64_t hits{0};
   std::uint64_t first_touches{0};
-  std::uint64_t soft_faults{0};     // served from the lookaside buffer
-  std::uint64_t hard_faults{0};     // required a remote request
-  std::uint64_t inflight_waits{0};  // blocked on an already-requested page
   std::uint64_t swap_faults{0};
   std::uint64_t syscalls_local{0};
-  std::uint64_t syscalls_redirected{0};
   std::uint64_t evictions{0};
   sim::Time cpu_time{};       // pure application compute
   sim::Time handler_time{};   // charged fault/handler kernel time
+
+  std::uint64_t soft_faults{0};     // served from the lookaside buffer
+  std::uint64_t hard_faults{0};     // required a remote request
+  std::uint64_t inflight_waits{0};  // blocked on an already-requested page
+  std::uint64_t syscalls_redirected{0};
   sim::Time stall_time{};     // wall time from fault to resume
   // CPMD cache warm-up (migration/cpmd.hpp): debt assessed at migration
   // commits vs. debt actually paid delaying post-migration bursts. The
@@ -53,7 +55,9 @@ struct ExecStats {
   stats::Summary fault_latency_us;
 };
 
-class Executor {
+// Cache-line aligned: a burst event's first touches are the leading block of
+// members below, and schedule_burst() names it in its prefetch hint.
+class alignas(64) Executor {
  public:
   Executor(sim::Simulator& simulator, Process& process, NodeCosts costs);
 
@@ -136,28 +140,33 @@ class Executor {
   void touch_lru(mem::PageId page);
   sim::Time maybe_evict_for(mem::PageId page);
 
-  sim::Simulator& sim_;
-  Process& process_;
-  NodeCosts costs_;
-  FaultPolicy* policy_{nullptr};
-  std::function<void()> on_finished_;
-  std::function<double()> cpu_share_;
-  std::function<void(std::uint64_t)> syscall_transport_;
-  std::function<void(mem::PageId)> touch_observer_;
-
-  ExecStats stats_;
-  std::optional<Ref> pending_;      // reference being executed / blocked on
-  bool pending_cpu_counted_{false};  // its compute already accrued
-  sim::Time max_burst_{sim::Time::from_ms(20)};
-  sim::Time fault_started_{};        // when the active fault event fired
-  sim::Time pending_charge_{};       // handler time to apply at resume
-  sim::Time warmup_balance_{};       // unpaid CPMD warm-up (see add_warmup_charge)
-  std::uint64_t syscall_seq_{0};
+  // --- hot block: what a burst event reads and writes, in its first line ---
   // Bumped by crash_interrupt; burst/finish events carry the generation they
   // were scheduled under and return if it moved (see schedule_burst).
   std::uint64_t run_gen_{0};
+  Process& process_;
+  Ref pending_{};                    // reference being executed / blocked on
+  bool has_pending_{false};          // pending_ holds one
+  bool pending_cpu_counted_{false};  // its compute already accrued
+  bool freeze_pending_{false};       // on_frozen_ is set
+  sim::Time max_burst_{sim::Time::from_ms(20)};
+  sim::Time warmup_balance_{};       // unpaid CPMD warm-up (see add_warmup_charge)
+  ExecStats stats_;                  // per-reference counters lead (next line)
+
+  sim::Simulator& sim_;
+  std::function<double()> cpu_share_;
+  std::uint64_t ram_limit_pages_{0};  // RAM-limit LRU active when > 0
+  std::function<void(mem::PageId)> touch_observer_;
+  NodeCosts costs_;
+  FaultPolicy* policy_{nullptr};
+  std::function<void()> on_finished_;
+  std::function<void(std::uint64_t)> syscall_transport_;
+
+  sim::Time fault_started_{};        // when the active fault event fired
+  sim::Time pending_charge_{};       // handler time to apply at resume
+  std::uint64_t syscall_seq_{0};
   bool started_{false};
-  std::function<void()> on_frozen_;  // non-null while a freeze is pending
+  std::function<void()> on_frozen_;  // set while a freeze is pending
 
   // Markers for AMPoM's per-fault CPU-fraction estimate (C_i).
   sim::Time last_fault_wall_{};
@@ -165,7 +174,6 @@ class Executor {
   double cpu_fraction_snapshot_{1.0};
 
   // RAM-limit LRU (active only when ram_limit_pages_ > 0).
-  std::uint64_t ram_limit_pages_{0};
   std::list<mem::PageId> lru_;  // front = most recent
   // ampom-lint: ordered-safe(lookup index only; eviction order is the std::list, never this map)
   std::unordered_map<mem::PageId, std::list<mem::PageId>::iterator> lru_pos_;

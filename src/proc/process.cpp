@@ -12,10 +12,10 @@ ReferenceStream& require_stream(const std::unique_ptr<ReferenceStream>& stream) 
 }  // namespace
 
 Process::Process(std::uint64_t pid, std::unique_ptr<ReferenceStream> stream, net::NodeId home)
-    : stream_{std::move(stream)},
-      aspace_{mem::RegionLayout::for_total_bytes(require_stream(stream_).memory_bytes())},
+    : current_{home},
       home_{home},
-      current_{home} {
+      stream_{std::move(stream)},
+      aspace_{mem::RegionLayout::for_total_bytes(require_stream(stream_).memory_bytes())} {
   pcb_.pid = pid;
   last_touched_.fill(mem::kInvalidPage);
 }

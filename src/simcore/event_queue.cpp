@@ -1,32 +1,30 @@
 #include "simcore/event_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace ampom::sim {
 
-namespace {
-constexpr std::size_t kArity = 4;
-}
-
-EventQueue::Handle EventQueue::push(Time at, Callback cb) {
+EventQueue::Handle EventQueue::push(Time at, Callback&& cb, const PrefetchHint& hint) {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.emplace_back();
+    heap_pos_.push_back(0);
+    generations_.push_back(0);
+    hints_.emplace_back();
   }
-  Slot& s = slots_[slot];
-  s.cb = std::move(cb);
+  callbacks_[slot] = std::move(cb);
+  hints_[slot] = hint;
 
   const std::size_t i = heap_.size();
   heap_.push_back(Entry{at, next_order_++, slot});
-  s.heap_index = static_cast<std::uint32_t>(i);
+  heap_pos_[slot] = static_cast<std::uint32_t>(i);
   sift_up(i);
-  return make_handle(slot, s.generation);
+  return make_handle(slot, generations_[slot]);
 }
 
 bool EventQueue::cancel(Handle handle) {
@@ -34,14 +32,13 @@ bool EventQueue::cancel(Handle handle) {
     return false;
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(handle & 0xffffffffU) - 1U;
-  if (slot >= slots_.size()) {
+  if (slot >= callbacks_.size()) {
     return false;
   }
-  Slot& s = slots_[slot];
-  if (s.generation != static_cast<std::uint32_t>(handle >> 32U)) {
+  if (generations_[slot] != static_cast<std::uint32_t>(handle >> 32U)) {
     return false;  // already fired or cancelled (slot possibly reused)
   }
-  remove_at(s.heap_index);
+  remove_at(heap_pos_[slot]);
   release(slot);
   return true;
 }
@@ -52,14 +49,14 @@ bool EventQueue::pop(Time& at, Callback& cb) {
   }
   const std::uint32_t slot = heap_.front().slot;
   at = heap_.front().at;
-  cb = std::move(slots_[slot].cb);
+  cb = std::move(callbacks_[slot]);
   remove_at(0);
   release(slot);
   return true;
 }
 
 void EventQueue::place(std::size_t i, Entry entry) {
-  slots_[entry.slot].heap_index = static_cast<std::uint32_t>(i);
+  heap_pos_[entry.slot] = static_cast<std::uint32_t>(i);
   heap_[i] = entry;
 }
 
@@ -79,18 +76,8 @@ void EventQueue::sift_up(std::size_t i) {
 void EventQueue::sift_down(std::size_t i) {
   Entry entry = heap_[i];
   const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t first_child = i * kArity + 1;
-    if (first_child >= n) {
-      break;
-    }
-    std::size_t best = first_child;
-    const std::size_t last_child = std::min(first_child + kArity, n);
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (earlier(heap_[c], heap_[best])) {
-        best = c;
-      }
-    }
+  while (i * kArity + 1 < n) {
+    const std::size_t best = earliest_child(i, n);
     if (!earlier(heap_[best], entry)) {
       break;
     }
@@ -112,13 +99,12 @@ void EventQueue::remove_at(std::size_t i) {
   place(i, moved);
   // The displaced entry may belong either above or below its new position.
   sift_up(i);
-  sift_down(slots_[moved.slot].heap_index);
+  sift_down(heap_pos_[moved.slot]);
 }
 
 void EventQueue::release(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.cb = nullptr;  // destroy the closure immediately, not at its deadline
-  ++s.generation;
+  callbacks_[slot] = nullptr;  // destroy the closure immediately, not at its deadline
+  ++generations_[slot];
   free_slots_.push_back(slot);
 }
 

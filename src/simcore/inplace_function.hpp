@@ -127,10 +127,12 @@ class InplaceFunction<R(Args...), Capacity> {
     }
   }
 
+  // The vtable pointer leads, so it shares a cache line with the start of a
+  // small closure: moving or invoking one touches a single line.
+  const Ops* ops_{nullptr};
   alignas(std::max_align_t) unsigned char storage_[Capacity < sizeof(void*)
                                                        ? sizeof(void*)
                                                        : Capacity]{};
-  const Ops* ops_{nullptr};
 };
 
 }  // namespace ampom::sim

@@ -49,24 +49,25 @@ std::uint32_t Simulator::current_partition_hint() { return tl_exec_ctx.part; }
 
 Time Simulator::now() const { return parts_[ctx_index()]->now; }
 
-Simulator::EventId Simulator::schedule_at(Time at, Callback cb) {
+Simulator::EventId Simulator::schedule_at(Time at, Callback&& cb, const PrefetchHint& hint) {
   const std::uint32_t index = ctx_index();
   Partition& part = *parts_[index];
   if (at < part.now) {
     throw std::logic_error(
         strfmt("schedule_at(%s) is in the past (now=%s)", at.str().c_str(), part.now.str().c_str()));
   }
-  return EventId{part.queue.push(at, std::move(cb)), index};
+  return EventId{part.queue.push(at, std::move(cb), hint), index};
 }
 
-Simulator::EventId Simulator::schedule_on_node(std::uint32_t node, Time at, Callback cb) {
+Simulator::EventId Simulator::schedule_on_node(std::uint32_t node, Time at, Callback&& cb,
+                                               const PrefetchHint& hint) {
   if (!partitioned_) {
-    return schedule_at(at, std::move(cb));
+    return schedule_at(at, std::move(cb), hint);
   }
   const std::uint32_t target = partition_of_node(node);
   const std::uint32_t cur = ctx_index();
   if (cur == target) {
-    return schedule_at(at, std::move(cb));
+    return schedule_at(at, std::move(cb), hint);
   }
   if (cur == 0) {
     // Barrier/root context: every partition is parked, push directly.
@@ -75,7 +76,7 @@ Simulator::EventId Simulator::schedule_on_node(std::uint32_t node, Time at, Call
       throw std::logic_error(strfmt("schedule_on_node(%s) is in the past (partition now=%s)",
                                     at.str().c_str(), part.now.str().c_str()));
     }
-    return EventId{part.queue.push(at, std::move(cb)), target};
+    return EventId{part.queue.push(at, std::move(cb), hint), target};
   }
   // Cross-partition from inside a partition event: defer to the barrier. The
   // lookahead contract puts `at` at or beyond the fence; barrier-adjacent
@@ -127,6 +128,7 @@ bool Simulator::step() {
   if (!part.queue.pop(at, cb)) {
     return false;
   }
+  part.queue.prefetch_next();
   assert(at >= part.now);
   part.now = at;
   ++part.processed;
@@ -362,6 +364,7 @@ void Simulator::run_partition_window(Partition& part, std::uint32_t index, Time 
     Time at;
     Callback cb;
     part.queue.pop(at, cb);
+    part.queue.prefetch_next();
     assert(at >= part.now);
     part.now = at;
     ++part.processed;

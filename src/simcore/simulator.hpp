@@ -52,6 +52,7 @@
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "simcore/event_queue.hpp"
@@ -90,7 +91,13 @@ class Simulator {
   // Schedule `cb` at absolute time `at` (must not be in the past). The event
   // lands on the scheduling context's own partition (the global partition
   // when called from outside any event or from a barrier-context event).
-  EventId schedule_at(Time at, Callback cb);
+  EventId schedule_at(Time at, Callback cb) {
+    return schedule_at(at, std::move(cb), PrefetchHint{});
+  }
+  // Same, with up to four addresses the callback touches first: the run loop
+  // prefetches them while the event before it runs. Addresses only — never
+  // read, and with no effect on order or outputs (see event_queue.hpp).
+  EventId schedule_at(Time at, Callback&& cb, const PrefetchHint& hint);
 
   // Schedule `cb` `delay` after now.
   EventId schedule_after(Time delay, Callback cb) { return schedule_at(now() + delay, std::move(cb)); }
@@ -99,7 +106,11 @@ class Simulator {
   // to schedule_at). Cross-partition calls from inside a partition event are
   // deferred to the next barrier and return an invalid id (not cancellable);
   // same-partition and barrier-context calls push directly.
-  EventId schedule_on_node(std::uint32_t node, Time at, Callback cb);
+  EventId schedule_on_node(std::uint32_t node, Time at, Callback cb) {
+    return schedule_on_node(node, at, std::move(cb), PrefetchHint{});
+  }
+  // Same, with a prefetch hint. A deferred cross-partition event drops it.
+  EventId schedule_on_node(std::uint32_t node, Time at, Callback&& cb, const PrefetchHint& hint);
 
   // Run `cb` in barrier context, where every partition is parked: inline if
   // already serialized (serial mode, global context), otherwise deferred to

@@ -1,11 +1,19 @@
 #pragma once
-// Base class for workload generators: kernels append batches of references
-// into a small buffer (refill()), next() drains it. Keeps each kernel a
-// simple resumable state machine, so the sequence a stream emits never
-// depends on how many references one refill appends. The buffer is a vector
-// read through a head index and cleared (capacity kept) when drained: a
-// stream in steady state makes no allocator calls.
+// Base classes for workload generators.
+//
+// WorkloadStream holds what every generator shares: the region layout and
+// the cadence of code/stack "aux" touches interleaved with the generated
+// references. A generator that can produce one reference at a time derives
+// from it directly and emits on demand (HotColdStream).
+//
+// BufferedStream is for kernels that are easier to write in batches: they
+// append references into a small buffer (refill()) and next() drains it.
+// Keeps each kernel a simple resumable state machine, so the sequence a
+// stream emits never depends on how many references one refill appends. The
+// buffer is a vector read through a head index and cleared (capacity kept)
+// when drained: a stream in steady state makes no allocator calls.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -14,10 +22,52 @@
 
 namespace ampom::workload {
 
-class BufferedStream : public proc::ReferenceStream {
+class WorkloadStream : public proc::ReferenceStream {
  public:
-  explicit BufferedStream(sim::Bytes memory_bytes)
+  explicit WorkloadStream(sim::Bytes memory_bytes)
       : layout_{mem::RegionLayout::for_total_bytes(memory_bytes)}, memory_bytes_{memory_bytes} {}
+
+  [[nodiscard]] sim::Bytes memory_bytes() const final { return memory_bytes_; }
+  [[nodiscard]] const mem::RegionLayout& layout() const { return layout_; }
+
+ protected:
+  // Real processes keep touching code and stack while they run: every
+  // kAuxPeriod-th generated memory reference is preceded by a round-robin
+  // code-page touch, and every eighth of those also by a stack-page touch,
+  // so the "currently accessed" page set the migration engines ship is
+  // meaningful. Call once per generated memory reference, before emitting
+  // it; passes the touches due first (none, one or two) to `out`.
+  template <class Out>
+  void aux_touches(Out&& out) {
+    if (++since_aux_ < kAuxPeriod) {
+      return;
+    }
+    since_aux_ = 0;
+    const mem::PageId code =
+        layout_.begin(mem::Region::Code) + (aux_round_ % layout_.pages(mem::Region::Code));
+    out(proc::Ref{code, sim::Time::from_ns(200), proc::Ref::Kind::Memory});
+    if (aux_round_ % 8 == 0) {
+      const mem::PageId stack =
+          layout_.begin(mem::Region::Stack) + (aux_round_ % layout_.pages(mem::Region::Stack));
+      out(proc::Ref{stack, sim::Time::from_ns(200), proc::Ref::Kind::Memory});
+    }
+    ++aux_round_;
+  }
+
+  [[nodiscard]] mem::PageId heap_begin() const { return layout_.begin(mem::Region::Heap); }
+  [[nodiscard]] std::uint64_t heap_pages() const { return layout_.pages(mem::Region::Heap); }
+
+ private:
+  static constexpr std::uint64_t kAuxPeriod = 1024;
+  std::uint64_t since_aux_{0};
+  std::uint64_t aux_round_{0};
+  mem::RegionLayout layout_;
+  sim::Bytes memory_bytes_;
+};
+
+class BufferedStream : public WorkloadStream {
+ public:
+  using WorkloadStream::WorkloadStream;
 
   [[nodiscard]] std::optional<proc::Ref> next() final {
     if (head_ == buffer_.size()) {
@@ -32,9 +82,6 @@ class BufferedStream : public proc::ReferenceStream {
     return buffer_[head_++];
   }
 
-  [[nodiscard]] sim::Bytes memory_bytes() const final { return memory_bytes_; }
-  [[nodiscard]] const mem::RegionLayout& layout() const { return layout_; }
-
  protected:
   // References a streaming refill() appends per call; small, so each
   // process's buffer stays a few hundred bytes.
@@ -44,43 +91,16 @@ class BufferedStream : public proc::ReferenceStream {
   virtual void refill() = 0;
 
   void emit(mem::PageId page, sim::Time cpu) {
-    maybe_aux_touch();
+    aux_touches([this](const proc::Ref& ref) { buffer_.push_back(ref); });
     buffer_.push_back(proc::Ref{page, cpu, proc::Ref::Kind::Memory});
   }
   void emit_syscall(sim::Time cpu) {
     buffer_.push_back(proc::Ref{mem::kInvalidPage, cpu, proc::Ref::Kind::Syscall});
   }
 
-  [[nodiscard]] mem::PageId heap_begin() const { return layout_.begin(mem::Region::Heap); }
-  [[nodiscard]] std::uint64_t heap_pages() const { return layout_.pages(mem::Region::Heap); }
-
  private:
-  // Real processes keep touching code and stack while they run; sprinkle
-  // round-robin code-page touches so the "currently accessed" page set the
-  // migration engines ship is meaningful.
-  void maybe_aux_touch() {
-    if (++since_aux_ < kAuxPeriod) {
-      return;
-    }
-    since_aux_ = 0;
-    const mem::PageId code =
-        layout_.begin(mem::Region::Code) + (aux_round_ % layout_.pages(mem::Region::Code));
-    buffer_.push_back(proc::Ref{code, sim::Time::from_ns(200), proc::Ref::Kind::Memory});
-    if (aux_round_ % 8 == 0) {
-      const mem::PageId stack =
-          layout_.begin(mem::Region::Stack) + (aux_round_ % layout_.pages(mem::Region::Stack));
-      buffer_.push_back(proc::Ref{stack, sim::Time::from_ns(200), proc::Ref::Kind::Memory});
-    }
-    ++aux_round_;
-  }
-
-  static constexpr std::uint64_t kAuxPeriod = 1024;
-  mem::RegionLayout layout_;
-  sim::Bytes memory_bytes_;
   std::vector<proc::Ref> buffer_;
   std::size_t head_{0};
-  std::uint64_t since_aux_{0};
-  std::uint64_t aux_round_{0};
 };
 
 }  // namespace ampom::workload

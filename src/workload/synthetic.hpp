@@ -3,6 +3,7 @@
 // property and ablation tests to isolate algorithm behaviour.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 
@@ -102,17 +103,21 @@ class InterleavedStream final : public BufferedStream {
 // excursions to cold pages. The hot set is the first `hot_pages` heap pages;
 // throws std::invalid_argument unless 0 < hot_pages <= heap pages (with room
 // left for cold pages when cold_fraction > 0) and cold_fraction is in [0, 1].
-class HotColdStream final : public BufferedStream {
+//
+// The generator of the cluster workloads, so it keeps no reference buffer:
+// each reference is drawn from the RNG when next() asks for it, and only
+// the aux touches due before it wait in a three-entry array.
+class HotColdStream final : public WorkloadStream {
  public:
   HotColdStream(sim::Bytes memory, std::uint64_t hot_pages, std::uint64_t touches,
                 double cold_fraction, sim::Time cpu_per_ref,
                 std::uint64_t seed = 0xDA942042E4DD58B5ULL)
-      : BufferedStream{memory},
-        hot_pages_{hot_pages},
+      : WorkloadStream{memory},
+        rng_{seed},
         touches_{touches},
+        hot_pages_{hot_pages},
         cold_fraction_{cold_fraction},
-        cpu_{cpu_per_ref},
-        rng_{seed} {
+        cpu_{cpu_per_ref} {
     if (!(cold_fraction >= 0.0 && cold_fraction <= 1.0)) {
       throw std::invalid_argument("HotColdStream: cold_fraction must be in [0, 1]");
     }
@@ -126,25 +131,43 @@ class HotColdStream final : public BufferedStream {
 
   [[nodiscard]] const char* name() const override { return "hotcold"; }
 
- protected:
-  void refill() override {
-    const std::uint64_t end = std::min(done_ + kRefillBatch, touches_);
-    for (; done_ < end; ++done_) {
-      if (rng_.uniform_real() < cold_fraction_) {
-        emit(heap_begin() + hot_pages_ + rng_.uniform(heap_pages() - hot_pages_), cpu_);
-      } else {
-        emit(heap_begin() + rng_.uniform(hot_pages_), cpu_);
-      }
+  [[nodiscard]] std::optional<proc::Ref> next() override {
+    if (owed_head_ < owed_end_) {
+      count_emit();
+      return owed_[owed_head_++];
     }
+    if (done_ == touches_) {
+      return std::nullopt;
+    }
+    ++done_;
+    mem::PageId page = heap_begin();
+    if (rng_.uniform_real() < cold_fraction_) {
+      page += hot_pages_ + rng_.uniform(heap_pages() - hot_pages_);
+    } else {
+      page += rng_.uniform(hot_pages_);
+    }
+    const proc::Ref ref{page, cpu_, proc::Ref::Kind::Memory};
+    owed_head_ = 0;
+    owed_end_ = 0;
+    aux_touches([this](const proc::Ref& aux) { owed_[owed_end_++] = aux; });
+    count_emit();
+    if (owed_end_ == 0) {
+      return ref;
+    }
+    owed_[owed_end_++] = ref;
+    return owed_[owed_head_++];
   }
 
  private:
-  std::uint64_t hot_pages_;
-  std::uint64_t touches_;
-  double cold_fraction_;
-  sim::Time cpu_;
   sim::Rng rng_;
   std::uint64_t done_{0};
+  std::uint64_t touches_;
+  std::uint64_t hot_pages_;
+  double cold_fraction_;
+  sim::Time cpu_;
+  std::uint8_t owed_head_{0};
+  std::uint8_t owed_end_{0};
+  std::array<proc::Ref, 3> owed_{};  // aux touches due, then the reference they precede
 };
 
 // An interactive-style stream: bursts of memory work separated by system

@@ -4,7 +4,10 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "simcore/event_queue.hpp"
@@ -288,6 +291,137 @@ TEST(EventQueue, SlotsAreRecycled) {
   }
   // Two events were ever live at once; the arena never grew past that.
   EXPECT_LE(q.slot_high_water(), 2u);
+}
+
+// One seeded run of random push / cancel / pop against an ordered-set model
+// keyed by (time, push index): the queue must pop the model's minimum and
+// agree on every handle's validity. Appends the push indices in pop order.
+void differential_run(std::uint64_t seed, bool hinted, std::vector<std::uint64_t>& popped) {
+  Rng rng{seed};
+  EventQueue q;
+  std::set<std::pair<std::int64_t, std::uint64_t>> model;
+  struct Issued {
+    EventQueue::Handle handle;
+    std::int64_t at;
+    std::uint64_t index;
+  };
+  std::vector<Issued> issued;
+  std::uint64_t fired = 0;
+  std::array<std::uint64_t, 64> state{};  // what hints point at
+  std::int64_t now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t op = rng.uniform(10);
+    if (op < 5) {
+      // Narrow spread: many same-instant ties, so FIFO order is exercised.
+      const std::int64_t at = now + static_cast<std::int64_t>(rng.uniform(40));
+      const std::uint64_t index = issued.size();
+      EventQueue::Callback cb = [&fired, index] { fired = index; };
+      PrefetchHint hint;
+      if (hinted) {
+        hint.addrs = {&state[index % 64], nullptr, &state[(index * 7) % 64], &issued};
+      }
+      const EventQueue::Handle h = rng.uniform(2) == 0 && !hinted
+                                       ? q.push(Time::from_ns(at), std::move(cb))
+                                       : q.push(Time::from_ns(at), std::move(cb), hint);
+      ASSERT_NE(h, 0u);
+      issued.push_back(Issued{h, at, index});
+      model.emplace(at, index);
+    } else if (op < 7) {
+      if (issued.empty()) {
+        continue;
+      }
+      const Issued& victim = issued[rng.uniform(issued.size())];
+      const bool live = model.erase({victim.at, victim.index}) > 0;
+      ASSERT_EQ(q.cancel(victim.handle), live) << "step " << step;
+    } else {
+      Time at{};
+      EventQueue::Callback cb;
+      if (model.empty()) {
+        ASSERT_FALSE(q.pop(at, cb));
+        continue;
+      }
+      ASSERT_TRUE(q.pop(at, cb));
+      q.prefetch_next();
+      cb();
+      const auto earliest = *model.begin();
+      model.erase(model.begin());
+      ASSERT_EQ(at.ns(), earliest.first) << "step " << step;
+      ASSERT_EQ(fired, earliest.second) << "step " << step;
+      popped.push_back(fired);
+      now = at.ns();
+    }
+    ASSERT_EQ(q.size(), model.size());
+  }
+  Time at{};
+  EventQueue::Callback cb;
+  while (q.pop(at, cb)) {
+    q.prefetch_next();
+    cb();
+    EXPECT_EQ(fired, model.begin()->second);
+    model.erase(model.begin());
+    popped.push_back(fired);
+  }
+  EXPECT_TRUE(model.empty());
+  // Every handle is dead once its event fired or was cancelled.
+  for (const Issued& i : issued) {
+    EXPECT_FALSE(q.cancel(i.handle));
+  }
+}
+
+TEST(EventQueue, MatchesAnOrderedSetModelWithAndWithoutHints) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 1009ULL}) {
+    SCOPED_TRACE(seed);
+    std::vector<std::uint64_t> plain;
+    std::vector<std::uint64_t> hinted;
+    differential_run(seed, false, plain);
+    differential_run(seed, true, hinted);
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_GT(plain.size(), 1000u);
+    EXPECT_EQ(plain, hinted);
+  }
+}
+
+// A schedule of chained, cancelled and same-instant events: the prefetch
+// hints change host caching only, so the firing order is identical.
+std::vector<int> hinted_schedule(bool hinted) {
+  Simulator sim;
+  Rng rng{42};
+  std::vector<int> order;
+  std::array<std::uint64_t, 16> blocks{};
+  std::vector<Simulator::EventId> ids;
+  int next_id = 0;
+  std::function<void(Time)> add = [&](Time at) {
+    const int id = next_id++;
+    auto cb = [&, id] {
+      order.push_back(id);
+      blocks[static_cast<std::size_t>(id) % blocks.size()] += 1;
+      if (next_id < 3000) {
+        add(sim.now() + Time::from_ns(static_cast<std::int64_t>(rng.uniform(50))));
+      }
+      if (rng.uniform(4) == 0 && !ids.empty()) {
+        sim.cancel(ids[rng.uniform(ids.size())]);
+      }
+    };
+    if (!hinted) {
+      ids.push_back(sim.schedule_on_node(0, at, std::move(cb)));
+      return;
+    }
+    const PrefetchHint hint{{&blocks[static_cast<std::size_t>(id) % blocks.size()], &order,
+                             nullptr, &ids}};
+    ids.push_back(id % 2 == 0 ? sim.schedule_at(at, std::move(cb), hint)
+                              : sim.schedule_on_node(0, at, std::move(cb), hint));
+  };
+  for (int i = 0; i < 64; ++i) {
+    add(Time::from_ns(static_cast<std::int64_t>(rng.uniform(20))));
+  }
+  sim.run();
+  return order;
+}
+
+TEST(Simulator, PrefetchHintsDoNotChangeTheFiringOrder) {
+  const std::vector<int> plain = hinted_schedule(false);
+  EXPECT_GT(plain.size(), 1000u);
+  EXPECT_EQ(plain, hinted_schedule(true));
 }
 
 TEST(InplaceFunction, InlineAndBoxedClosuresBothInvoke) {

@@ -49,7 +49,7 @@ Drained drain(proc::ReferenceStream& stream, std::uint64_t limit = 50'000'000) {
 }
 
 // Pages needed to cover `fraction` of a stream's heap.
-std::uint64_t heap_fraction(const BufferedStream& stream, double fraction) {
+std::uint64_t heap_fraction(const WorkloadStream& stream, double fraction) {
   return static_cast<std::uint64_t>(
       static_cast<double>(stream.layout().pages(mem::Region::Heap)) * fraction);
 }
@@ -341,7 +341,7 @@ TEST(Synthetic, InterleavedProducesStridePatterns) {
 }
 
 // Heap references a drained stream emitted.
-std::uint64_t heap_refs(BufferedStream& stream) {
+std::uint64_t heap_refs(WorkloadStream& stream) {
   std::uint64_t n = 0;
   while (const auto ref = stream.next()) {
     if (stream.layout().region_of(ref->page) == mem::Region::Heap) {

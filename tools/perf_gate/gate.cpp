@@ -638,11 +638,12 @@ std::optional<Doc> summarize_raw(const JsonValue& raw, std::string* error) {
   if (benchmarks == nullptr || benchmarks->kind != JsonValue::Kind::Array) {
     return reject(error, "raw output has no 'benchmarks' array");
   }
-  // The three engine profiles and their benchmark-name stems.
+  // The four engine profiles and their benchmark-name stems.
   constexpr std::pair<const char*, const char*> kProfiles[] = {
       {"schedule_heavy", "BM_ScheduleHeavy"},
       {"cancel_heavy", "BM_CancelHeavy"},
       {"mixed", "BM_Mixed"},
+      {"burst_cycle", "BM_BurstCycle"},
   };
   constexpr std::pair<const char*, const char*> kEngines[] = {{"indexed", "_Indexed"},
                                                               {"lazy", "_Lazy"}};
