@@ -6,10 +6,11 @@
 // perf profiles — schedule-heavy, cancel-heavy (reliable-paging silence-
 // timer churn) and mixed — each run against BOTH the production indexed-heap
 // Simulator and a verbatim copy of the lazy-delete engine it replaced, so
-// every run measures the speedup on the machine it runs on. A fourth,
-// burst-cycle, replays the cluster burst loop over cold per-actor state
-// (the indexed engine with prefetch hints). Each profile
-// reports:
+// every run measures the speedup on the machine it runs on. Two more,
+// burst-cycle and lockstep-cycle, replay the cluster burst loop over cold
+// per-actor state (the indexed engine with prefetch hints): with deadlines
+// spread over 2 ms, and with every deadline landing on a shared 5 ms grid,
+// as bursts of jobs that share a node do. Each profile reports:
 //   events_per_sec   engine operations (schedule + cancel + fire) per second
 //   peak_queued      max entries physically queued (lazy-delete strands
 //                    cancelled entries; the indexed heap must not)
@@ -229,13 +230,25 @@ std::uint64_t drive_mixed(Engine& eng, Sink& sink, int bursts, int burst_size,
   return ops;
 }
 
+// How a BurstCycle reschedules its actors.
+enum class Cadence {
+  // At now + U[4, 6] ms: the spread of cluster burst deadlines, so few
+  // events share an instant.
+  kJittered,
+  // At exactly now + 5 ms, from 8 start phases 25 ms apart: the phases fall
+  // on one 5 ms grid, so every instant drains a run of up to kActors events
+  // pushed back to back, the way the bursts of jobs sharing a node (and so
+  // one CPU dilation) end together.
+  kLockstep,
+};
+
 // The cluster burst loop in miniature: kActors actors, each with its own
 // heap-allocated state block of about 1.5 KB (together several times an L2
 // cache, as the per-process state of a 5,120-job cluster is). Each event
-// touches four lines of its actor's block and reschedules the actor at
-// now + U[4, 6] ms, the spread of cluster burst deadlines. An engine that
-// takes a prefetch hint gets those four lines with each event.
-template <class Engine>
+// touches four lines of its actor's block and reschedules the actor at the
+// cadence's next deadline. An engine that takes a prefetch hint gets those
+// four lines with each event.
+template <class Engine, Cadence kCadence>
 struct BurstCycle {
   static constexpr std::uint32_t kActors = 5120;
   static constexpr std::size_t kWords = 192;  // 1.5 KB
@@ -264,7 +277,11 @@ struct BurstCycle {
   void run(std::uint64_t fires) {
     fires_left = fires;
     for (std::uint32_t a = 0; a < kActors; ++a) {
-      schedule(a);
+      if constexpr (kCadence == Cadence::kLockstep) {
+        schedule(a, Time::from_ms(25 * static_cast<std::int64_t>(a % 8)));
+      } else {
+        schedule(a, next_delay());
+      }
     }
     eng.run();
   }
@@ -279,14 +296,21 @@ struct BurstCycle {
     }
     if (fires_left > 0) {
       --fires_left;
-      schedule(a);
+      schedule(a, next_delay());
     }
   }
 
-  void schedule(std::uint32_t a) {
+  Time next_delay() {
+    if constexpr (kCadence == Cadence::kLockstep) {
+      return Time::from_ms(5);
+    } else {
+      return Time::from_us(4000 + static_cast<std::int64_t>(rng.uniform(2001)));
+    }
+  }
+
+  void schedule(std::uint32_t a, Time delay) {
     ++ops;
-    const auto jitter_us = static_cast<std::int64_t>(rng.uniform(2001));
-    const Time at = eng.now() + Time::from_us(4000 + jitter_us);
+    const Time at = eng.now() + delay;
     auto cb = [this, a] { fire(a); };
     if constexpr (requires { eng.schedule_at(at, std::move(cb), sim::PrefetchHint{}); }) {
       const std::uint64_t* s = actors[a]->state.data();
@@ -400,9 +424,10 @@ void profile_mixed(benchmark::State& state) {
   report(state, total_ops, allocs, alloc_ops, peak);
 }
 
-template <class Engine>
+template <class Engine, Cadence kCadence>
 void profile_burst_cycle(benchmark::State& state) {
-  constexpr std::uint64_t kWarmFires = 4 * BurstCycle<Engine>::kActors;
+  using Cycle = BurstCycle<Engine, kCadence>;
+  constexpr std::uint64_t kWarmFires = 4 * Cycle::kActors;
   constexpr std::uint64_t kFires = 1 << 19;
   std::uint64_t total_ops = 0;
   std::uint64_t allocs = 0;
@@ -410,7 +435,7 @@ void profile_burst_cycle(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     Engine eng;
-    BurstCycle<Engine> cycle{eng};
+    Cycle cycle{eng};
     cycle.run(kWarmFires);
     const std::uint64_t a0 = bench_alloc::count();
     const std::uint64_t ops0 = cycle.ops;
@@ -425,7 +450,7 @@ void profile_burst_cycle(benchmark::State& state) {
     state.ResumeTiming();
   }
   // Every actor has exactly one event queued between its fires.
-  report(state, total_ops, allocs, alloc_ops, BurstCycle<Engine>::kActors);
+  report(state, total_ops, allocs, alloc_ops, Cycle::kActors);
 }
 
 void BM_ScheduleHeavy_Indexed(benchmark::State& state) {
@@ -437,9 +462,17 @@ void BM_CancelHeavy_Lazy(benchmark::State& state) { profile_cancel_heavy<LazyEng
 void BM_Mixed_Indexed(benchmark::State& state) { profile_mixed<sim::Simulator>(state); }
 void BM_Mixed_Lazy(benchmark::State& state) { profile_mixed<LazyEngine>(state); }
 void BM_BurstCycle_Indexed(benchmark::State& state) {
-  profile_burst_cycle<sim::Simulator>(state);
+  profile_burst_cycle<sim::Simulator, Cadence::kJittered>(state);
 }
-void BM_BurstCycle_Lazy(benchmark::State& state) { profile_burst_cycle<LazyEngine>(state); }
+void BM_BurstCycle_Lazy(benchmark::State& state) {
+  profile_burst_cycle<LazyEngine, Cadence::kJittered>(state);
+}
+void BM_LockstepCycle_Indexed(benchmark::State& state) {
+  profile_burst_cycle<sim::Simulator, Cadence::kLockstep>(state);
+}
+void BM_LockstepCycle_Lazy(benchmark::State& state) {
+  profile_burst_cycle<LazyEngine, Cadence::kLockstep>(state);
+}
 
 BENCHMARK(BM_ScheduleHeavy_Indexed);
 BENCHMARK(BM_ScheduleHeavy_Lazy);
@@ -449,6 +482,8 @@ BENCHMARK(BM_Mixed_Indexed);
 BENCHMARK(BM_Mixed_Lazy);
 BENCHMARK(BM_BurstCycle_Indexed);
 BENCHMARK(BM_BurstCycle_Lazy);
+BENCHMARK(BM_LockstepCycle_Indexed);
+BENCHMARK(BM_LockstepCycle_Lazy);
 
 // ---------------------------------------------------------------------------
 // The original ad-hoc microbenches.

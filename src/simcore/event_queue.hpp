@@ -1,6 +1,6 @@
 #pragma once
-// Indexed 4-ary min-heap of timed callbacks: the storage engine under the
-// Simulator.
+// Indexed 4-ary min-heap of same-instant event chains: the storage engine
+// under the Simulator.
 //
 // The engine it replaced was a std::priority_queue with lazy deletion: a
 // cancelled event's heap entry (and its std::function closure) stayed queued
@@ -10,15 +10,26 @@
 // garbage per in-flight request and every pop paid to skip it.
 //
 // This queue keeps a side index from event handle to heap position, so
-// cancel() is an O(log n) in-place removal that destroys the callback
-// immediately, and the heap never holds a dead entry: size() is exactly the
-// number of live events. The 4-ary layout halves the tree depth of a binary
-// heap and keeps sift-downs inside one or two cache lines of children, which
-// is where a discrete-event simulator spends its life.
+// cancel() is an in-place removal that destroys the callback immediately,
+// and the queue never holds a dead event: size() is exactly the number of
+// live events. The 4-ary layout halves the tree depth of a binary heap and
+// keeps sift-downs inside one or two cache lines of children.
 //
-// Determinism: entries are ordered by (time, push order), so same-instant
-// events pop in FIFO push order. Cancellation never perturbs the relative
-// order of surviving events.
+// Same-instant chains: one heap entry stands for a FIFO chain of events at
+// one instant. A push at the same time as the previous push, while that push
+// is still queued, links behind it through per-slot next/prev links and
+// never enters the heap; a pop hands the root entry to its chained
+// successor in place (same key, no sift), and an entry leaves the heap only
+// when its chain ends. Cluster bursts land this way: jobs sharing a node
+// share one CPU dilation, so their quantised bursts end together and most
+// pushes hit the instant of the push just before them (DESIGN.md §12).
+//
+// Determinism: events fire in (time, push order). A chain's members are
+// consecutive pushes, so no other event at its instant has a push order
+// inside the chain's span; keying each entry by (time, push order of the
+// chain's first member) and draining chains front to back therefore fires
+// same-instant events in FIFO push order, exactly as one entry per event
+// would. Cancellation never perturbs the relative order of surviving events.
 //
 // Handles: push() returns an opaque non-zero handle encoding the slot the
 // callback lives in plus a generation counter; a handle for an event that
@@ -26,12 +37,13 @@
 // and cancel() returns false. Zero is never a valid handle.
 //
 // Storage: flat vectors — the heap entries, one dense array per slot field
-// (callback, heap position, generation, prefetch hint) and the slot free
-// list. Sifts rewrite the heap position of every entry they move, so that
-// array holds 4 bytes a slot, clear of the 80-byte callbacks. At steady
-// state push/pop/cancel touch no allocator at all, and a callback whose
-// closure fits Callback's small buffer never touches the heap anywhere in
-// its life.
+// (callback, links, generation, prefetch hint) and the slot free list. A
+// slot's links — its heap position and its chain neighbours — share one
+// 12-byte record, clear of the 80-byte callbacks: sifts rewrite the heap
+// position of every entry they move, and a pop or cancel reads all three. At
+// steady state push/pop/cancel touch no allocator at all, and a callback
+// whose closure fits Callback's small buffer never touches the heap anywhere
+// in its life.
 //
 // Prefetch hints: push() may carry up to four addresses the callback will
 // touch first. After a pop, prefetch_next() hands the closure and hinted
@@ -66,7 +78,8 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Insert `cb` keyed by (`at`, arrival order). O(log n), allocation-free at
+  // Insert `cb` keyed by (`at`, arrival order): O(1) behind a still-queued
+  // previous push at the same instant, else O(log n); allocation-free at
   // steady state. Returns a non-zero handle for cancel().
   Handle push(Time at, Callback cb) { return push(at, std::move(cb), PrefetchHint{}); }
   // Same, with a prefetch hint for prefetch_next(). Takes the callback by
@@ -82,11 +95,12 @@ class EventQueue {
   bool pop(Time& at, Callback& cb);
 
   // Prefetch for the next two events: the closure and hinted addresses of
-  // the earliest pending one, and the closure and hint lines of the
-  // earliest child of the root, which fires after it. That child's hint is
-  // only prefetched, not read, so no cache miss stalls here; when it
-  // becomes the root its hint is in cache and its hinted addresses go out a
-  // whole event ahead of its callback. A pure host-cache hint: no effect on
+  // the earliest pending one, and the closure, hint and links lines of the
+  // one after it — the root's chained successor, known exactly, or else the
+  // root's earliest child. That second event's hint is only prefetched, not
+  // read, so no cache miss stalls here; when it becomes the root its hint is
+  // in cache and its hinted addresses go out a whole event ahead of its
+  // callback. A pure host-cache hint: no effect on
   // order, state or outputs. Call it after pop(), before running the popped
   // callback.
   //
@@ -104,10 +118,14 @@ class EventQueue {
         __builtin_prefetch(addr);
       }
     }
-    if (n > 1) {
-      const std::uint32_t next = heap_[earliest_child(0, n)].slot;
+    std::uint32_t next = links_[root].next;
+    if (next == kNone && n > 1) {
+      next = heap_[earliest_child(0, n)].slot;
+    }
+    if (next != kNone) {
       __builtin_prefetch(&callbacks_[next]);
       __builtin_prefetch(&hints_[next]);
+      __builtin_prefetch(&links_[next]);
     }
   }
 
@@ -115,22 +133,24 @@ class EventQueue {
   [[nodiscard]] Time top_time() const { return heap_.front().at; }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] std::size_t size() const { return callbacks_.size() - free_slots_.size(); }
 
   // Storage introspection for soak tests and the perf harness.
-  // Entries physically held by the heap. For this engine it equals size()
+  // Events physically held by the queue. For this engine it equals size()
   // by construction — the lazy-delete engine it replaced kept cancelled
   // entries queued, which is exactly what the cancel-heavy soak pins.
-  [[nodiscard]] std::size_t queued_entries() const { return heap_.size(); }
+  [[nodiscard]] std::size_t queued_entries() const { return size(); }
   // High-water mark of concurrently live events (slots are recycled).
   [[nodiscard]] std::size_t slot_high_water() const { return callbacks_.size(); }
 
  private:
   static constexpr std::size_t kArity = 4;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};  // no slot
 
+  // One chain: `slot` is its head, `order` its first member's push order.
   struct Entry {
     Time at;
-    std::uint64_t order;  // monotonic push counter: FIFO tie-break
+    std::uint64_t order;  // monotonic per-entry counter: FIFO tie-break
     std::uint32_t slot;
   };
 
@@ -162,13 +182,25 @@ class EventQueue {
   void release(std::uint32_t slot);
 
   std::vector<Entry> heap_;
+  // A slot's place in the queue.
+  struct Link {
+    std::uint32_t heap_pos{kNone};  // a chain head's heap index; kNone for other members
+    std::uint32_t next{kNone};  // the next member of its chain; kNone at the end
+                                // of a chain and for every free slot
+    std::uint32_t prev{kNone};  // the previous member; meaningful for non-heads only
+  };
+
   // Per-slot fields, indexed by slot.
   std::vector<Callback> callbacks_;
-  std::vector<std::uint32_t> heap_pos_;
+  std::vector<Link> links_;
   std::vector<std::uint32_t> generations_;
   std::vector<PrefetchHint> hints_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_order_{1};
+  // The previous push while it is still queued (it is then its chain's last
+  // member), else kNone; tail_at_ is its time.
+  std::uint32_t tail_{kNone};
+  Time tail_at_{};
 };
 
 }  // namespace ampom::sim

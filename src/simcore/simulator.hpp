@@ -4,11 +4,13 @@
 // Determinism: events scheduled for the same instant fire in schedule order
 // (FIFO by sequence), so a run is a pure function of the scenario.
 //
-// Storage is an indexed 4-ary heap (simcore/event_queue.hpp): cancel() is an
-// in-place O(log n) removal that destroys the callback immediately, and
-// callbacks are small-buffer-optimized (simcore/inplace_function.hpp), so
-// the schedule/fire/cancel hot path performs no heap allocations for
-// typical closures.
+// Storage is an indexed 4-ary heap of same-instant chains
+// (simcore/event_queue.hpp): an event scheduled for the instant of the
+// schedule just before it, while that one is still pending, joins its chain
+// in O(1) instead of the heap; cancel() is an in-place removal that destroys
+// the callback immediately; and callbacks are small-buffer-optimized
+// (simcore/inplace_function.hpp), so the schedule/fire/cancel hot path
+// performs no heap allocations for typical closures.
 //
 // Halt semantics: halt() requests that the engine stop dispatching. The run
 // in progress — or, if none is in progress, the *next* run() / run_until()

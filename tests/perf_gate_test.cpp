@@ -109,7 +109,7 @@ TEST(PerfGateJson, RendersDeterministicValuesAtRoundTripPrecision) {
 
 // --- micro_simcore ----------------------------------------------------------
 
-// A raw google-benchmark document with the eight profile benches (extra
+// A raw google-benchmark document with the ten profile benches (extra
 // benches and fields present, as in real output).
 std::string raw_run(double indexed_cancel_rate, double indexed_cancel_allocs) {
   auto bench = [](const std::string& name, double rate, double allocs, double peak) {
@@ -127,6 +127,8 @@ std::string raw_run(double indexed_cancel_rate, double indexed_cancel_allocs) {
          bench("BM_Mixed_Lazy", 12.0e6, 1.0, 4096) + "," +
          bench("BM_BurstCycle_Indexed", 6.0e6, 0.0, 5120) + "," +
          bench("BM_BurstCycle_Lazy", 5.0e6, 0.5, 5120) + "," +
+         bench("BM_LockstepCycle_Indexed", 9.0e6, 0.0, 5120) + "," +
+         bench("BM_LockstepCycle_Lazy", 6.0e6, 0.5, 5120) + "," +
          bench("BM_ScheduleAndRun/1000", 1.0e6, 0.0, 0) + "]}";
 }
 
@@ -141,7 +143,7 @@ TEST(PerfGateSummary, NormalizesRawBenchmarkOutput) {
   const Doc doc = engine_run(73.0e6, 0.0);
   EXPECT_EQ(doc.tool, "micro_simcore");
   EXPECT_DOUBLE_EQ(doc.host_cpus, 8.0);
-  ASSERT_EQ(doc.cases.size(), 8u);
+  ASSERT_EQ(doc.cases.size(), 10u);
   const Metrics& cancel = doc.cases.at("cancel_heavy/indexed");
   EXPECT_DOUBLE_EQ(cancel.at("events_per_sec"), 73.0e6);
   EXPECT_DOUBLE_EQ(doc.cases.at("cancel_heavy/lazy").at("peak_queued"), 1000.0);
@@ -177,7 +179,7 @@ TEST(PerfGateGate, PassesAHealthyRunWithoutABaseline) {
   const GateResult result = gate(engine_run(73.0e6, 0.0), nullptr, GateOptions{});
   EXPECT_TRUE(result.pass) << first_failure(result);
   EXPECT_TRUE(result.failures.empty());
-  EXPECT_EQ(result.notes.size(), 8u);  // one throughput line per case
+  EXPECT_EQ(result.notes.size(), 10u);  // one throughput line per case
 }
 
 TEST(PerfGateGate, AnySingleIndexedAllocationFailsTheSboInvariant) {

@@ -78,6 +78,34 @@ TEST(Simulator, SameTimeFifoBySchedulingOrder) {
   }
 }
 
+// A callback that schedules at now() runs after every event already queued
+// at that instant, however the queue grouped them (1-2, 4-5 and 6 are three
+// chains at 1 ms, split by pushes at 2 ms), and after events scheduled at
+// now() before it; 9 is scheduled after the push before it (8) has fired.
+TEST(Simulator, ScheduleAtNowFiresAfterEverythingQueuedAtThatInstant) {
+  Simulator sim;
+  std::vector<int> order;
+  auto log = [&order](int id) { return [&order, id] { order.push_back(id); }; };
+  sim.schedule_at(1_ms, [&] {
+    order.push_back(1);
+    sim.schedule_at(sim.now(), log(7));
+  });
+  sim.schedule_at(1_ms, [&] {
+    order.push_back(2);
+    sim.schedule_at(sim.now(), [&] {
+      order.push_back(8);
+      sim.schedule_at(sim.now(), log(9));  // its predecessor already fired
+    });
+  });
+  sim.schedule_at(2_ms, log(3));
+  sim.schedule_at(1_ms, log(4));
+  sim.schedule_at(1_ms, log(5));
+  sim.schedule_at(2_ms, log(10));
+  sim.schedule_at(1_ms, log(6));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5, 6, 7, 8, 9, 3, 10}));
+}
+
 TEST(Simulator, ScheduleAfterUsesCurrentTime) {
   Simulator sim;
   Time inner{};
@@ -293,10 +321,31 @@ TEST(EventQueue, SlotsAreRecycled) {
   EXPECT_LE(q.slot_high_water(), 2u);
 }
 
+// How a differential run draws its event times.
+enum class Instants {
+  kSpread,       // now + U[0, 40): scattered, with occasional ties
+  kLockstep,     // now + {0, 5, 10}, mostly the previous push's offset: long chains
+  kAlternating,  // now + 1 or 2, odd and even in turn: many ties, never two in a row
+};
+
+// What a differential run exercised, by the queue's chaining rule: a push
+// joins the chain of the previous push when that push is still queued at
+// the same instant.
+struct ChainCoverage {
+  std::uint64_t chained_pushes{0};   // pushes that joined a chain
+  std::uint64_t tied_pushes{0};      // pushes at an instant already queued
+  std::uint64_t draining_pushes{0};  // pushes at the instant being drained
+  std::uint64_t head_cancels{0};     // cancels of a chain's first live member
+  std::uint64_t middle_cancels{0};
+  std::uint64_t tail_cancels{0};  // cancels of a chain's last live member
+};
+
 // One seeded run of random push / cancel / pop against an ordered-set model
 // keyed by (time, push index): the queue must pop the model's minimum and
-// agree on every handle's validity. Appends the push indices in pop order.
-void differential_run(std::uint64_t seed, bool hinted, std::vector<std::uint64_t>& popped) {
+// agree on every handle's validity. Appends the push indices in pop order
+// and adds what the run exercised to `seen`.
+void differential_run(std::uint64_t seed, bool hinted, Instants instants,
+                      std::vector<std::uint64_t>& popped, ChainCoverage& seen) {
   Rng rng{seed};
   EventQueue q;
   std::set<std::pair<std::int64_t, std::uint64_t>> model;
@@ -304,16 +353,34 @@ void differential_run(std::uint64_t seed, bool hinted, std::vector<std::uint64_t
     EventQueue::Handle handle;
     std::int64_t at;
     std::uint64_t index;
+    std::uint64_t chain;  // the test's own account of the chain it joined
   };
   std::vector<Issued> issued;
+  std::vector<std::set<std::uint64_t>> chain_live;  // live push indices per chain
   std::uint64_t fired = 0;
   std::array<std::uint64_t, 64> state{};  // what hints point at
   std::int64_t now = 0;
+  std::int64_t lockstep_offset = 0;
+  auto forget = [&](std::uint64_t index) { chain_live[issued[index].chain].erase(index); };
   for (int step = 0; step < 20000; ++step) {
     const std::uint64_t op = rng.uniform(10);
     if (op < 5) {
-      // Narrow spread: many same-instant ties, so FIFO order is exercised.
-      const std::int64_t at = now + static_cast<std::int64_t>(rng.uniform(40));
+      std::int64_t at = now;
+      switch (instants) {
+        case Instants::kSpread:
+          // Narrow spread: many same-instant ties, so FIFO order is exercised.
+          at += static_cast<std::int64_t>(rng.uniform(40));
+          break;
+        case Instants::kLockstep:
+          if (rng.uniform(8) == 0) {
+            lockstep_offset = 5 * static_cast<std::int64_t>(rng.uniform(3));
+          }
+          at += lockstep_offset;
+          break;
+        case Instants::kAlternating:
+          at += (now + static_cast<std::int64_t>(issued.size())) % 2 == 0 ? 2 : 1;
+          break;
+      }
       const std::uint64_t index = issued.size();
       EventQueue::Callback cb = [&fired, index] { fired = index; };
       PrefetchHint hint;
@@ -324,7 +391,18 @@ void differential_run(std::uint64_t seed, bool hinted, std::vector<std::uint64_t
                                        ? q.push(Time::from_ns(at), std::move(cb))
                                        : q.push(Time::from_ns(at), std::move(cb), hint);
       ASSERT_NE(h, 0u);
-      issued.push_back(Issued{h, at, index});
+      const bool chained =
+          !issued.empty() && issued.back().at == at && model.contains({at, index - 1});
+      seen.chained_pushes += chained ? 1U : 0U;
+      seen.draining_pushes += !model.empty() && model.begin()->first == now && at == now ? 1U : 0U;
+      const auto tie = model.lower_bound({at, 0});
+      seen.tied_pushes += tie != model.end() && tie->first == at ? 1U : 0U;
+      const std::uint64_t chain = chained ? issued.back().chain : chain_live.size();
+      if (!chained) {
+        chain_live.emplace_back();
+      }
+      chain_live[chain].insert(index);
+      issued.push_back(Issued{h, at, index, chain});
       model.emplace(at, index);
     } else if (op < 7) {
       if (issued.empty()) {
@@ -332,6 +410,15 @@ void differential_run(std::uint64_t seed, bool hinted, std::vector<std::uint64_t
       }
       const Issued& victim = issued[rng.uniform(issued.size())];
       const bool live = model.erase({victim.at, victim.index}) > 0;
+      if (live) {
+        const std::set<std::uint64_t>& members = chain_live[victim.chain];
+        const bool head = *members.begin() == victim.index;
+        const bool tail = *members.rbegin() == victim.index;
+        seen.head_cancels += head && !tail ? 1U : 0U;
+        seen.middle_cancels += !head && !tail ? 1U : 0U;
+        seen.tail_cancels += tail && !head ? 1U : 0U;
+        forget(victim.index);
+      }
       ASSERT_EQ(q.cancel(victim.handle), live) << "step " << step;
     } else {
       Time at{};
@@ -347,6 +434,7 @@ void differential_run(std::uint64_t seed, bool hinted, std::vector<std::uint64_t
       model.erase(model.begin());
       ASSERT_EQ(at.ns(), earliest.first) << "step " << step;
       ASSERT_EQ(fired, earliest.second) << "step " << step;
+      forget(earliest.second);
       popped.push_back(fired);
       now = at.ns();
     }
@@ -357,7 +445,8 @@ void differential_run(std::uint64_t seed, bool hinted, std::vector<std::uint64_t
   while (q.pop(at, cb)) {
     q.prefetch_next();
     cb();
-    EXPECT_EQ(fired, model.begin()->second);
+    ASSERT_FALSE(model.empty());
+    ASSERT_EQ(fired, model.begin()->second);
     model.erase(model.begin());
     popped.push_back(fired);
   }
@@ -373,11 +462,41 @@ TEST(EventQueue, MatchesAnOrderedSetModelWithAndWithoutHints) {
     SCOPED_TRACE(seed);
     std::vector<std::uint64_t> plain;
     std::vector<std::uint64_t> hinted;
-    differential_run(seed, false, plain);
-    differential_run(seed, true, hinted);
+    ChainCoverage seen;
+    differential_run(seed, false, Instants::kSpread, plain, seen);
+    differential_run(seed, true, Instants::kSpread, hinted, seen);
     ASSERT_FALSE(HasFatalFailure());
     EXPECT_GT(plain.size(), 1000u);
     EXPECT_EQ(plain, hinted);
+  }
+}
+
+// Lockstep instants grow long same-instant chains, and cancel their heads,
+// middles and tails and push at the instant being drained; alternating
+// instants queue many events per instant without ever chaining two.
+TEST(EventQueue, MatchesTheModelOnLockstepAndAlternatingInstants) {
+  for (const std::uint64_t seed : {1ULL, 7ULL, 1009ULL}) {
+    SCOPED_TRACE(seed);
+    std::vector<std::uint64_t> plain;
+    std::vector<std::uint64_t> hinted;
+    ChainCoverage lockstep;
+    ChainCoverage lockstep_hinted;
+    differential_run(seed, false, Instants::kLockstep, plain, lockstep);
+    differential_run(seed, true, Instants::kLockstep, hinted, lockstep_hinted);
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(plain, hinted);
+    EXPECT_GT(lockstep.chained_pushes, 5000u);
+    EXPECT_GT(lockstep.draining_pushes, 100u);
+    EXPECT_GT(lockstep.head_cancels, 20u);
+    EXPECT_GT(lockstep.middle_cancels, 20u);
+    EXPECT_GT(lockstep.tail_cancels, 20u);
+
+    std::vector<std::uint64_t> alternating_order;
+    ChainCoverage alternating;
+    differential_run(seed, false, Instants::kAlternating, alternating_order, alternating);
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(alternating.chained_pushes, 0u);
+    EXPECT_GT(alternating.tied_pushes, 5000u);
   }
 }
 
@@ -487,6 +606,36 @@ TEST(Rng, UniformWithinBound) {
   Rng rng{7};
   for (int i = 0; i < 10000; ++i) {
     EXPECT_LT(rng.uniform(17), 17u);
+  }
+}
+
+// uniform()'s power-of-two fast path draws exactly what the rejection
+// formula draws, for every power of two up to 2^40 and for other bounds.
+TEST(Rng, UniformMatchesTheDivisionFormulaForEveryBound) {
+  auto by_division = [](Rng& rng, std::uint64_t bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = rng.next();
+      if (r >= threshold) {
+        return r % bound;
+      }
+    }
+  };
+  std::vector<std::uint64_t> bounds;
+  for (int k = 0; k <= 40; ++k) {
+    bounds.push_back(std::uint64_t{1} << k);
+  }
+  for (const std::uint64_t other : {3ULL, 17ULL, 63ULL, 65ULL, 1000ULL, (1ULL << 40) + 1,
+                                    (1ULL << 63) + 1, ~0ULL}) {
+    bounds.push_back(other);
+  }
+  for (const std::uint64_t bound : bounds) {
+    SCOPED_TRACE(bound);
+    Rng fast{bound ^ 0x5EEDULL};
+    Rng reference{bound ^ 0x5EEDULL};
+    for (int i = 0; i < 256; ++i) {
+      ASSERT_EQ(fast.uniform(bound), by_division(reference, bound)) << "draw " << i;
+    }
   }
 }
 

@@ -638,12 +638,13 @@ std::optional<Doc> summarize_raw(const JsonValue& raw, std::string* error) {
   if (benchmarks == nullptr || benchmarks->kind != JsonValue::Kind::Array) {
     return reject(error, "raw output has no 'benchmarks' array");
   }
-  // The four engine profiles and their benchmark-name stems.
+  // The five engine profiles and their benchmark-name stems.
   constexpr std::pair<const char*, const char*> kProfiles[] = {
       {"schedule_heavy", "BM_ScheduleHeavy"},
       {"cancel_heavy", "BM_CancelHeavy"},
       {"mixed", "BM_Mixed"},
       {"burst_cycle", "BM_BurstCycle"},
+      {"lockstep_cycle", "BM_LockstepCycle"},
   };
   constexpr std::pair<const char*, const char*> kEngines[] = {{"indexed", "_Indexed"},
                                                               {"lazy", "_Lazy"}};
